@@ -219,6 +219,11 @@ int emit_trajectory(const char* path) {
   entries.push_back(measure_entry("jacobi2d", 16, 256));
   entries.push_back(measure_entry("jacobi2d", 64, 256));
   entries.push_back(measure_entry("fmatmul", 16, 64));
+  // fconv2d's input pitch drifts the row loads' bus phase every row, so it
+  // batches only in super-periods (8 rows at 16 lanes, 32 at 64) of its
+  // 115-op row body.
+  entries.push_back(measure_entry("fconv2d", 16, 256));
+  entries.push_back(measure_entry("fconv2d", 64, 256));
 
   std::string out = "{\n";
   out += "  \"revision\": \"" + std::string(store::git_revision()) + "\",\n";

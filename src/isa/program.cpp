@@ -1,6 +1,7 @@
 #include "isa/program.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/bits.hpp"
 #include "common/contracts.hpp"
@@ -40,30 +41,96 @@ OpKey op_key(const ProgOp& op, std::uint64_t vlen_bits) {
   return k;
 }
 
+namespace {
+
+/// Region scan of keys[lo, hi) (see find_loop_regions). Appends the regions
+/// to `out` when non-null and returns the sum of their scores.
+std::size_t scan_loop_regions(const std::vector<OpKey>& keys, std::size_t lo,
+                              std::size_t hi, std::size_t max_period,
+                              std::vector<LoopRegion>* out) {
+  std::size_t total = 0;
+  std::size_t i = lo;
+  while (i < hi) {
+    // Score = ops past the warm-up, coverage - 3 * period; only candidates
+    // scoring >= 0 can ever retire a batched period.
+    LoopRegion best;
+    std::size_t best_score = 0;
+    const std::size_t p_cap = std::min(max_period, (hi - i) / 3);
+    for (std::size_t p = 1; p <= p_cap; ++p) {
+      // (hi - i) - 3p bounds every period-p score: once that cannot beat
+      // the best (ties go to the smaller period), no longer period can.
+      if (best.period != 0 && hi - i - 3 * p <= best_score) break;
+      std::size_t e = 0;
+      if (best.period != 0 && p % best.period == 0 && i + 2 * p <= best.end) {
+        e = best.end;  // a multiple of a verified period holds up to its end
+      } else {
+        // Cheap prefilter before the O(p) window compare.
+        if (keys[i] != keys[i + p]) continue;
+        std::size_t j = 1;
+        while (j < p && keys[i + j] == keys[i + p + j]) ++j;
+        if (j < p) continue;
+        e = i + 2 * p;
+      }
+      while (e < hi && keys[e] == keys[e - p]) ++e;
+      if (e - i < 3 * p) continue;
+      const std::size_t score = e - i - 3 * p;
+      if (best.period == 0 || score > best_score) {
+        best = LoopRegion{i, e, p};
+        best_score = score;
+      }
+    }
+    if (best.period == 0) {
+      ++i;
+      continue;
+    }
+    // The region swallows whatever shorter loops repeat inside each of its
+    // periods; keep those instead when, judged by the first period times
+    // the period count, they would batch more (a few long iterations of an
+    // unrolled body whose inner loop runs many short ones).
+    const std::size_t inner =
+        scan_loop_regions(keys, i, i + best.period, best.period - 1, nullptr);
+    if (inner * ((best.end - i) / best.period) > best_score) {
+      total += scan_loop_regions(keys, i, best.end, best.period - 1, out);
+    } else {
+      if (out != nullptr) out->push_back(best);
+      total += best_score;
+    }
+    i = best.end;
+  }
+  return total;
+}
+
+}  // namespace
+
 std::vector<LoopRegion> find_loop_regions(const std::vector<OpKey>& keys,
                                           std::size_t max_period) {
   std::vector<LoopRegion> out;
-  const std::size_t n = keys.size();
-  std::size_t i = 0;
-  while (i < n) {
-    bool found = false;
-    const std::size_t p_cap = std::min(max_period, (n - i) / 2);
-    for (std::size_t p = 1; p <= p_cap; ++p) {
-      // Cheap prefilter before the O(p) window compare.
-      if (keys[i] != keys[i + p]) continue;
-      std::size_t j = 1;
-      while (j < p && keys[i + j] == keys[i + p + j]) ++j;
-      if (j < p) continue;
-      std::size_t e = i + 2 * p;
-      while (e < n && keys[e] == keys[e - p]) ++e;
-      out.push_back(LoopRegion{i, e, p});
-      i = e;
-      found = true;
-      break;  // smallest period wins
-    }
-    if (!found) ++i;
-  }
+  scan_loop_regions(keys, 0, keys.size(), max_period, &out);
   return out;
+}
+
+std::size_t phase_super_period(const Program& prog, const LoopRegion& region,
+                               std::uint64_t bus_bytes) {
+  const std::size_t p = region.period;
+  const auto bus = static_cast<std::int64_t>(bus_bytes);
+  const auto addr = [&](std::size_t i) { return std::get<VInstr>(prog.ops[i]).addr; };
+  std::size_t m = 1;
+  for (std::size_t first = region.start; first < region.start + p; ++first) {
+    const auto* in = std::get_if<VInstr>(&prog.ops[first]);
+    if (in == nullptr || (in->op != Op::kVle && in->op != Op::kVse)) continue;
+    const std::uint64_t d = addr(first + p) - addr(first);
+    bool constant = true;
+    for (std::size_t i = first + p; constant && i + p < region.end; i += p) {
+      constant = addr(i + p) - addr(i) == d;
+    }
+    if (!constant) continue;
+    // Phase step per period, reduced from the signed delta so a descending
+    // walk and a non-power-of-two bus both come out right.
+    const std::int64_t step = (static_cast<std::int64_t>(d) % bus + bus) % bus;
+    m = std::lcm(m, static_cast<std::size_t>(bus / std::gcd(step, bus)));
+    if (m * p > region.end - region.start) break;
+  }
+  return m;
 }
 
 LoopNest find_loop_nest(const Program& prog, const LoopRegion& region) {

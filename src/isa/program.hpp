@@ -72,18 +72,37 @@ struct OpKey {
 
 /// A maximal periodic run of ops[start, end) where every op's signature
 /// equals the signature one `period` earlier — the static shape of a
-/// strip-mined loop. Regions contain at least two full periods.
+/// strip-mined loop. Regions contain at least three full periods.
 struct LoopRegion {
   std::size_t start = 0;
   std::size_t end = 0;
   std::size_t period = 0;
 };
 
-/// Scans a signature sequence for periodic regions, preferring the
-/// smallest period at each position. Greedy and non-overlapping, in
-/// program order. `max_period` bounds the loop-body length considered.
+/// Scans a signature sequence for periodic regions. At each position it
+/// keeps the period whose region leaves the most ops past the batcher's
+/// recording warm-up (coverage - 3 * period, ties to the smaller period),
+/// so a long loop body wins over a short inner repeat that covers only a
+/// few iterations of it, and a short period that already spans the whole
+/// region is never traded for a multiple of itself. A winning region
+/// still gives way to the shorter loops inside its periods when those,
+/// scored the same way, would leave more ops past their warm-ups. Greedy
+/// and non-overlapping, in program order; `max_period` bounds the
+/// loop-body length considered.
 [[nodiscard]] std::vector<LoopRegion> find_loop_regions(
-    const std::vector<OpKey>& keys, std::size_t max_period = 64);
+    const std::vector<OpKey>& keys, std::size_t max_period = 256);
+
+/// Bus-phase super-period of `region`, in periods: the lcm, over the
+/// region's unit-stride memory positions whose address advances by a
+/// constant delta d per period, of bus_bytes / gcd(d mod bus_bytes,
+/// bus_bytes). After that many periods every such op's bus phase
+/// (addr % bus_bytes) is back where it started, even when it drifts from
+/// one period to the next (a row pitch that is not a bus multiple).
+/// Positions with non-constant deltas do not contribute. Stops early and
+/// returns a value whose span exceeds the region once the lcm does.
+[[nodiscard]] std::size_t phase_super_period(const Program& prog,
+                                             const LoopRegion& region,
+                                             std::uint64_t bus_bytes);
 
 /// Two-level loop structure detected inside a LoopRegion: the region's
 /// period is the *inner* loop body, and every `outer_period` inner

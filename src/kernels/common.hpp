@@ -85,6 +85,12 @@ std::vector<std::unique_ptr<Kernel>> make_extension_kernels();
 /// names.
 std::unique_ptr<Kernel> make_kernel(std::string_view name);
 
+/// jacobi2d with its input pitch left at N + 2 doubles instead of padded
+/// to a lane multiple. Not registered: the sweeps and committed figures
+/// keep the padded layout; this variant exists to test and measure the
+/// drifting-phase layout.
+std::unique_ptr<Kernel> make_jacobi2d_unpadded();
+
 // ---- shared helpers ---------------------------------------------------------
 
 /// DP elements per vector for a weak-scaling point: N = B/lane x lanes / 8.

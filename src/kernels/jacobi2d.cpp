@@ -18,6 +18,8 @@ constexpr double kW = 0.2;
 
 class Jacobi2dKernel final : public Kernel {
  public:
+  explicit Jacobi2dKernel(bool pad_pitch) : pad_pitch_(pad_pitch) {}
+
   [[nodiscard]] std::string_view name() const override { return "jacobi2d"; }
   [[nodiscard]] double max_perf_factor() const override { return 1.0; }
   [[nodiscard]] Lmul lmul(std::uint64_t) const override { return kLmul4; }
@@ -25,14 +27,18 @@ class Jacobi2dKernel final : public Kernel {
   Program build(Machine& m, std::uint64_t bytes_per_lane) override {
     const MachineConfig& cfg = m.config();
     n_ = elems_for_bytes_per_lane(cfg, bytes_per_lane);
-    // One halo column on each side, then pad the input pitch up to a
-    // multiple of the lane count so the per-row load address advances by a
-    // bus-aligned step (bus width is 8 bytes x total lanes). The stores
-    // already step by n_*8, which is lane-aligned; with both progressions
-    // bus-phase-periodic the whole row loop becomes batchable.
+    // One halo column on each side. The registered kernel then pads the
+    // input pitch up to a multiple of the lane count, so every row load
+    // starts at the same bus phase (bus width is 8 bytes x total lanes);
+    // the committed figures use that layout. Unpadded, the phase drifts
+    // 16 bytes per row and repeats every lanes/2 rows — the loop batcher
+    // handles both, the second in super-periods, so the padding is a
+    // workload choice, not a simulator requirement.
     in_cols_ = n_ + 2;
-    const std::uint64_t lanes = cfg.total_lanes();
-    in_cols_ += (lanes - in_cols_ % lanes) % lanes;
+    if (pad_pitch_) {
+      const std::uint64_t lanes = cfg.total_lanes();
+      in_cols_ += (lanes - in_cols_ % lanes) % lanes;
+    }
 
     in_ = random_doubles((kRows + 2) * in_cols_, -1.0, 1.0, input_seed(0x1A));
 
@@ -104,6 +110,7 @@ class Jacobi2dKernel final : public Kernel {
   [[nodiscard]] double tolerance() const override { return 0.0; }  // same dataflow
 
  private:
+  bool pad_pitch_;
   std::uint64_t n_ = 0;
   std::uint64_t in_cols_ = 0;
   std::vector<double> in_;
@@ -113,6 +120,10 @@ class Jacobi2dKernel final : public Kernel {
 
 }  // namespace
 
-std::unique_ptr<Kernel> make_jacobi2d() { return std::make_unique<Jacobi2dKernel>(); }
+std::unique_ptr<Kernel> make_jacobi2d() { return std::make_unique<Jacobi2dKernel>(true); }
+
+std::unique_ptr<Kernel> make_jacobi2d_unpadded() {
+  return std::make_unique<Jacobi2dKernel>(false);
+}
 
 }  // namespace araxl

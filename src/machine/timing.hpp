@@ -203,14 +203,15 @@ class TimingEngine {
   void snapshot_state(Cycle t, std::vector<std::uint64_t>* out,
                       std::vector<std::uint64_t>* shadow) const;
   [[nodiscard]] std::uint64_t batchable_periods(const LoopRegion& r) const;
-  /// First barrier boundary >= b in the current region (region end when
-  /// none): batches may not cross it (see the per-op progression gate in
-  /// prepare_loop_batching).
-  [[nodiscard]] std::size_t next_barrier(std::size_t b) const;
-  /// First barrier boundary a batch from the current state may not cross,
-  /// looking back to the oldest still-pending sequencer op (whose dispatch —
-  /// and therefore address consumption — happens inside the batched window).
-  [[nodiscard]] std::size_t replay_barrier_limit(const LoopRegion& r) const;
+  /// First barrier op index >= i in the current region (region end when
+  /// none): a batch may not dispatch it (see the per-op progression gate
+  /// in prepare_loop_batching).
+  [[nodiscard]] std::size_t next_barrier(std::size_t i) const;
+  /// Whole periods a batch from the current state may cover before the
+  /// liveness gate: bounded by the region end for the ops it issues and by
+  /// the next barrier for the ops it dispatches, counted from the oldest
+  /// still-pending sequencer op.
+  [[nodiscard]] std::uint64_t replay_periods(const LoopRegion& r) const;
   void apply_batch(const LoopRegion& r, std::uint64_t k, Cycle d,
                    std::uint64_t id_delta, Cycle* t_io);
 
@@ -343,10 +344,9 @@ class TimingEngine {
   // Loop-batching state (event engine only; see prepare_loop_batching).
   std::vector<OpKey> op_keys_;
   std::vector<LoopRegion> loop_regions_;
-  /// Per region: sorted period-boundary op indices a batch may not cross —
-  /// boundaries where some bounded mem op's address breaks its per-position
-  /// arithmetic progression, changes its bus phase (unit-stride skew), or
-  /// flips a pairwise conflict outcome relative to one period earlier.
+  /// Per region: sorted indices of the bounded mem ops a batch may not
+  /// dispatch — ops whose bus phase (unit-stride skew) or pairwise conflict
+  /// outcomes differ from their counterparts' one period earlier.
   std::vector<std::vector<std::size_t>> loop_barriers_;
   /// Per region: the largest boundary from which a whole barrier-free
   /// period still lies ahead (0 = region dead — no boundary can engage).

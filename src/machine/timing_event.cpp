@@ -686,18 +686,33 @@ void TimingEngine::advance_span_store(Inflight& instr, Cycle from, Cycle to) {
 //    dispatch and retire make the other-kind queue a contiguous suffix of
 //    the other-kind ops before i, at most unit_queue_depth deep; if every
 //    pair in the superset repeats its outcome, whatever subset is live
-//    repeats it too. prepare_loop_batching turns every violated check
-//    into a *barrier* at the period boundary containing the op (a pair
-//    whose counterpart falls before the region start is conservatively a
-//    barrier as well), and a batch may cover [pc, pc+K*period) only when
-//    that range is barrier-free. Barriers inside an already-recorded
-//    window are irrelevant — its behavior is history, captured by the
-//    snapshot — which is why recording continues across them (the early
-//    boundaries of any load+store region carry conservative barriers from
-//    out-of-region partners). Indexed accesses are exempt from both
-//    checks: the timing model never reads their addresses (unknown
-//    footprint => conservative conflict either way), and zero-vl ops
-//    never enter the sequencer at all.
+//    repeats it too. prepare_loop_batching marks every op that violates
+//    a check as a *barrier* (a pair whose counterpart falls before the
+//    region start is conservatively a barrier as well). A batch of K
+//    periods replays the dispatches of ops [oldest pending, oldest pending
+//    + K*period) — the sequencer queue shifts rigidly, so exactly those
+//    leave it inside the batched window — and may do so only when none of
+//    them is a barrier. Barriers on ops that dispatched inside an
+//    already-recorded window are irrelevant — its behavior is history,
+//    captured by the snapshot — which is why recording continues across
+//    them (the first period of any load+store region carries conservative
+//    barriers from out-of-region partners). Indexed accesses are exempt
+//    from both checks: the timing model never reads their addresses
+//    (unknown footprint => conservative conflict either way), and zero-vl
+//    ops never enter the sequencer at all.
+//
+// Super-periods. A row pitch that is not a bus multiple (fconv2d's input
+// rows, an unpadded stencil) moves an op's bus phase every period, so
+// check (a) fails at every boundary of the signature period p. Such a
+// phase is still periodic: an op whose address advances by a constant d
+// per period is back at its phase after bus / gcd(d mod bus, bus)
+// periods. A region whose phases repeat every m periods (the lcm over its
+// constant-delta unit-stride ops, phase_super_period) and that holds at
+// least three such windows is batched with period m * p instead. That is
+// still a signature period (p divides it), so everything above — and every
+// check below, which pairs each op with its counterpart one *region*
+// period earlier — applies unchanged, only indexed m signature periods
+// back. Ops with non-constant deltas simply keep their barriers.
 //
 // Warmup fast-forward: a handful of serialized fields provably cannot
 // influence evolution — issue/dispatch stamps are read only when writing
@@ -775,6 +790,11 @@ void TimingEngine::prepare_loop_batching() {
     op_keys_.push_back(op_key(op, cfg_.effective_vlen()));
   }
   loop_regions_ = find_loop_regions(op_keys_);
+  // Super-periods (see the exactness argument above).
+  for (LoopRegion& r : loop_regions_) {
+    const std::size_t m = phase_super_period(*prog_, r, glsu_.bus_bytes());
+    if (m > 1 && r.end - r.start >= 3 * m * r.period) r.period *= m;
+  }
   loop_barriers_.assign(loop_regions_.size(), {});
   loop_last_engageable_.assign(loop_regions_.size(), 0);
   if (loop_regions_.empty()) return;
@@ -860,16 +880,13 @@ void TimingEngine::prepare_loop_batching() {
           if (overlaps(i, j) != overlaps(i - p, j - p)) f = 3;
         }
         flags[q] |= f;
+        if (f != 0) loop_barriers_[ri].push_back(i);
       }
       auto& own = recent[static_cast<std::size_t>(u)];
       own.push_back(i);
       if (own.size() > cfg_.unit_queue_depth) own.erase(own.begin());
     }
 
-    auto& barriers = loop_barriers_[ri];
-    for (std::size_t q = 1; q < num_periods; ++q) {
-      if (flags[q] != 0) barriers.push_back(r.start + q * p);
-    }
     for (std::size_t q = num_periods; q-- > 2;) {
       const std::size_t b = r.start + q * p;
       if (b + p <= r.end && flags[q] == 0) {
@@ -1038,43 +1055,37 @@ void TimingEngine::snapshot_state(Cycle t, std::vector<std::uint64_t>* out,
   }
 }
 
-std::size_t TimingEngine::next_barrier(std::size_t b) const {
+std::size_t TimingEngine::next_barrier(std::size_t i) const {
   const auto& bars = loop_barriers_[loop_region_idx_];
-  const auto it = std::lower_bound(bars.begin(), bars.end(), b);
+  const auto it = std::lower_bound(bars.begin(), bars.end(), i);
   return it == bars.end() ? loop_regions_[loop_region_idx_].end : *it;
 }
 
-std::size_t TimingEngine::replay_barrier_limit(const LoopRegion& r) const {
-  // Barriers invalidate a batch from the oldest still-PENDING op's period,
-  // not from the issue front: a sequencer-queued op dispatches *inside* the
-  // batched window, and dispatch is where its address is consumed (head
-  // skew, load/store conflict checks). The replay gives it its
-  // period-earlier counterpart's dispatch pattern, so a barrier on its
-  // period — an address-phase or conflict-outcome change the snapshot
-  // cannot see (Pending state carries no address) — would be replayed
-  // wrong. Unit-queue ops are safe: their dispatch-time address reads are
-  // already consumed and their remaining evolution is snapshot state.
+std::uint64_t TimingEngine::replay_periods(const LoopRegion& r) const {
+  // A batch of K periods issues ops [pc, pc + K*period), which must stay
+  // inside the region, and dispatches ops [oldest pending, oldest pending
+  // + K*period): the sequencer queue shifts rigidly, so exactly those ops
+  // leave it inside the batched window. Dispatch is where addresses are
+  // consumed (head skew, load/store conflict checks) and the replay gives
+  // each of them its period-earlier counterpart's dispatch pattern, so none
+  // of them may carry a barrier. Unit-queue ops are safe: their
+  // dispatch-time reads are already consumed and their remaining
+  // evolution is snapshot state.
   std::size_t min_pending = pc_;
   for (const Pending& p : seq_) {
     min_pending = std::min(min_pending, p.prog_index);
   }
-  const std::size_t from =
-      min_pending <= r.start
-          ? r.start
-          : r.start + ((min_pending - r.start) / r.period) * r.period;
-  return std::min(next_barrier(from), r.end);
+  return std::min((r.end - pc_) / r.period,
+                  (next_barrier(min_pending) - min_pending) / r.period);
 }
 
 std::uint64_t TimingEngine::batchable_periods(const LoopRegion& r) const {
-  const std::size_t b2 = pc_;
-  const std::size_t limit = replay_barrier_limit(r);
-  if (limit <= b2) return 0;
-  const std::uint64_t k = (limit - b2) / r.period;
+  const std::uint64_t k = replay_periods(r);
   if (k == 0) return 0;
   // Every live op must be at least one period deep into the region: its
   // previous-period counterpart anchors the rigid-shift argument for the
   // dispatch-time address comparisons it participates in.
-  std::size_t min_idx = b2;
+  std::size_t min_idx = pc_;
   for (const Pending& p : seq_) min_idx = std::min(min_idx, p.prog_index);
   for (const auto& q : unitq_) {
     for (const std::uint32_t slot : q) {
@@ -1096,8 +1107,9 @@ bool TimingEngine::loop_checkpoint(Cycle* t_io) {
   // Past the last boundary from which a whole barrier-free period still
   // lies ahead, no engage can ever happen (pc only grows) — skip the
   // snapshot work entirely. Dense-barrier regions (an aperiodic address
-  // walk, an unpadded stencil whose bus phase drifts every period) would
-  // otherwise serialize the machine at every boundary for nothing.
+  // walk, or a drifting bus phase whose super-period does not fit the
+  // region three times) would otherwise serialize the machine at every
+  // boundary for nothing.
   if (pc_ > loop_last_engageable_[loop_region_idx_]) return false;
   if (pc_ < r.start + r.period) return false;
   if ((pc_ - r.start) % r.period != 0) return false;
@@ -1115,7 +1127,7 @@ bool TimingEngine::loop_checkpoint(Cycle* t_io) {
       const std::uint64_t k = batchable_periods(r);
       if (k > 0) {
         // Clamped when a barrier (not the region end) bounded K: the batch
-        // stops at a nested-loop row boundary and re-arms beyond it.
+        // stops short of a nested-loop row boundary and re-arms beyond it.
         // Projected when the snapshots matched only up to inert warmup
         // residue (the canonical short-run wide-machine engage).
         const std::uint64_t full_ahead = (r.end - pc_) / r.period;
@@ -1137,17 +1149,17 @@ bool TimingEngine::loop_checkpoint(Cycle* t_io) {
         last_ckpt_pc_ = pc_;
         return true;
       }
-      if (replay_barrier_limit(r) >= pc_ + r.period && r.end >= pc_ + r.period) {
-        // Snapshots matched and the next period is barrier-free, yet no
-        // whole iteration can retire: exactly the in-flight liveness gate
+      if (replay_periods(r) > 0) {
+        // Snapshots matched and a whole period may be replayed, yet no
+        // iteration can retire: exactly the in-flight liveness gate
         // (an op still less than one period into the region) — the
         // canonical wide-machine failure, where long in-flight windows
         // span the loop start forever.
         count_batch_reject(BatchReject::kLivenessGate, *t_io);
       }
-      // Otherwise a barrier sits inside the very next period (early
-      // conservative partner reach, or a row boundary): nothing to count —
-      // recording simply continues and a later boundary engages.
+      // Otherwise a barrier sits within one period of the oldest pending
+      // op (early conservative partner reach, or a row boundary): nothing
+      // to count — recording simply continues and a later boundary engages.
     } else {
       // Consecutive boundary snapshots differ: not in steady state (yet) —
       // expected a few times during warmup, pathological if it never stops.

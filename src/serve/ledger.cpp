@@ -85,7 +85,7 @@ void append_line(const std::string& path, std::string line,
       return faults->ledger_short_write(len);
     };
   }
-  (void)store::append_lines(path, line, af, fsync);
+  store::append_lines(path, line, af, fsync);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 #include "store/appendio.hpp"
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -32,50 +32,34 @@ void write_all(int fd, const char* data, std::size_t len,
 
 }  // namespace
 
-AppendOutcome append_lines(const std::string& path, std::string_view payload,
-                           const AppendFaults& faults, bool fsync_file) {
-  AppendOutcome out;
-  if (payload.empty()) return out;
+void append_lines(const std::string& path, std::string_view payload,
+                  const AppendFaults& faults, bool fsync_file) {
+  if (payload.empty()) return;
   if (faults.open_fails && faults.open_fails()) {
     throw StoreIoError("injected open failure on " + path);
   }
-  // O_RDWR, not O_WRONLY: the tail probe below preads the last byte, and
-  // pread on a write-only descriptor fails with EBADF. O_APPEND still
-  // makes every write land atomically at the (current) end of file.
   int fd = -1;
   do {
-    fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
+    fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
   } while (fd < 0 && errno == EINTR);
   if (fd < 0) {
     throw StoreIoError("cannot open " + path + " for appending: " +
                        errno_text());
   }
   // A crashed (or fault-injected) writer can leave the file ending in a
-  // torn, newline-less tail. Appending straight after it would merge our
-  // first record into that garbage line and lose it — heal by starting on
-  // a fresh line. (The loaders skip the blank line this may create when
-  // two writers both heal.) Probing and appending are separate syscalls,
-  // so two healers can race and both prepend a newline; that only yields
-  // an extra blank line, which the loaders also skip.
-  struct stat st{};
-  if (::fstat(fd, &st) == 0 && st.st_size > 0) {
-    char last = '\n';
-    if (::pread(fd, &last, 1, st.st_size - 1) == 1 && last != '\n') {
-      out.healed_tail = true;
-    }
-  }
-  std::string buf;
-  std::string_view body = payload;
-  if (out.healed_tail) {
-    buf.reserve(payload.size() + 1);
-    buf.push_back('\n');
-    buf.append(payload);
-    body = buf;
-  }
+  // torn, newline-less tail, and a concurrent one can land it after our
+  // open, so no look at the tail can rule it out. Appending straight after
+  // it would merge our first record into that garbage line and lose it,
+  // so every append starts on a fresh line; the loaders skip the blank
+  // lines this leaves between clean appends.
+  std::string body;
+  body.reserve(payload.size() + 1);
+  body.push_back('\n');
+  body.append(payload);
   bool torn = false;
   if (faults.short_write) {
     if (const auto cut = faults.short_write(payload.size())) {
-      body = body.substr(0, (out.healed_tail ? 1 : 0) + *cut);
+      body.resize(std::min(body.size(), 1 + *cut));
       torn = true;
     }
   }
@@ -97,8 +81,6 @@ AppendOutcome append_lines(const std::string& path, std::string_view payload,
     // the rest.
     throw StoreIoError("injected short write to " + path);
   }
-  out.bytes = payload.size();
-  return out;
 }
 
 void fsync_parent_dir(const std::string& path) {

@@ -5,9 +5,10 @@
 // appended to one file that many processes may share. This helper owns the
 // mechanics both need so the durability rules have a single definition:
 //   * torn-tail healing — a crashed (or fault-injected) writer can leave
-//     the file ending in a newline-less fragment; appending straight after
-//     it would merge the next record into that garbage line, so an append
-//     that finds a torn tail starts with a fresh newline;
+//     the file ending in a newline-less fragment, possibly landing it just
+//     before our write; appending straight after it would merge the next
+//     record into that garbage line, so every append starts with a fresh
+//     newline (the loaders skip the resulting blank lines);
 //   * one O_APPEND write per batch — concurrent writers interleave at line
 //     granularity and a crash mid-write loses at most one torn line, which
 //     the corruption-tolerant loaders skip;
@@ -36,20 +37,14 @@ struct AppendFaults {
   std::function<std::optional<std::size_t>(std::size_t len)> short_write;
 };
 
-/// What one append did (for metrics).
-struct AppendOutcome {
-  std::size_t bytes = 0;    ///< payload bytes written
-  bool healed_tail = false; ///< a torn tail was terminated first
-};
-
-/// Appends `payload` (one or more whole '\n'-terminated lines) to `path`,
-/// healing a torn tail, honouring injected faults, and optionally
+/// Appends `payload` (one or more whole '\n'-terminated lines) to `path`
+/// on a fresh line, honouring injected faults, and optionally
 /// fsync()ing the file before returning. Throws StoreIoError (declared in
 /// store/result_store.hpp) on open/write/sync failure — injected or real.
 /// On a short (torn) write the payload must be retried in full later; the
 /// loaders skip the torn line and dedupe re-appended records.
-AppendOutcome append_lines(const std::string& path, std::string_view payload,
-                           const AppendFaults& faults, bool fsync_file);
+void append_lines(const std::string& path, std::string_view payload,
+                  const AppendFaults& faults, bool fsync_file);
 
 /// fsync()s the directory containing `path`, making a rename or file
 /// creation in it durable. Errors are swallowed: directory fsync is a

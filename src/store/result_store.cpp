@@ -275,11 +275,10 @@ void ResultStore::flush() {
       return faults_->store_short_write(len);
     };
   }
-  const AppendOutcome out = append_lines(path_, pending_, faults, fsync_);
+  append_lines(path_, pending_, faults, fsync_);
   if (metrics_ != nullptr) {
     metrics_->counter("store.flushes")->inc();
-    metrics_->counter("store.flush_bytes")->add(out.bytes);
-    if (out.healed_tail) metrics_->counter("store.tail_heals")->inc();
+    metrics_->counter("store.flush_bytes")->add(pending_.size());
   }
   pending_.clear();
 }

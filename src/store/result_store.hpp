@@ -114,7 +114,7 @@ class ResultStore {
   void set_fsync(bool on) { fsync_ = on; }
 
   /// Installs an optional metrics sink (obs/metrics.hpp) counting flush
-  /// traffic (store.flushes / store.flush_bytes / store.tail_heals);
+  /// traffic (store.flushes / store.flush_bytes);
   /// nullptr disables. Not owned; must outlive the store.
   void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
 

@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "driver/report.hpp"
 #include "driver/runner.hpp"
 #include "driver/spec.hpp"
+#include "store/appendio.hpp"
 #include "store/result_store.hpp"
 #include "store/version.hpp"
 
@@ -188,6 +190,41 @@ TEST(FaultInjection, ConcurrentWritersSurviveInjectedShortWrites) {
     EXPECT_TRUE(reloaded.find(record(i).fingerprint).has_value())
         << "record " << i << " lost under injected short writes";
   }
+  std::remove(path.c_str());
+}
+
+TEST(FaultInjection, TornPrefixLandingMidAppendDoesNotSwallowTheRecord) {
+  // The interleaving behind the concurrent-writer test, made deterministic
+  // with two handles: writer B has opened the file (which ends cleanly),
+  // then writer A lands a torn prefix, then B writes. The short-write hook
+  // runs after B's open and before its write, so it is where A's torn
+  // append is injected. B's record must survive on its own line.
+  const std::string path = temp_path("torn_interleave");
+  std::remove(path.c_str());
+  const auto line = [](int i) {
+    return store::ResultStore::serialize(record(i)) + "\n";
+  };
+  store::append_lines(path, line(0), {}, false);
+
+  store::AppendFaults torn_a;
+  torn_a.short_write = [](std::size_t len) -> std::optional<std::size_t> {
+    return len / 2;
+  };
+  store::AppendFaults interleave_b;
+  interleave_b.short_write = [&](std::size_t) -> std::optional<std::size_t> {
+    EXPECT_THROW(store::append_lines(path, line(1), torn_a, false),
+                 store::StoreIoError);
+    return std::nullopt;
+  };
+  store::append_lines(path, line(2), interleave_b, false);
+
+  store::ResultStore reloaded(path);
+  EXPECT_EQ(reloaded.size(), 2u);
+  EXPECT_TRUE(reloaded.find(record(0).fingerprint).has_value());
+  EXPECT_FALSE(reloaded.find(record(1).fingerprint).has_value());  // torn
+  EXPECT_TRUE(reloaded.find(record(2).fingerprint).has_value())
+      << "B's clean append merged into A's torn line";
+  EXPECT_EQ(reloaded.load_report().bad_lines, 1u);
   std::remove(path.c_str());
 }
 

@@ -161,6 +161,128 @@ TEST(Builder, ZeroScalarCyclesElided) {
   EXPECT_EQ(pb.take().ops.size(), 0u);
 }
 
+// ---- loop-region selection ---------------------------------------------------
+
+std::vector<OpKey> keys_of(const Program& p) {
+  std::vector<OpKey> keys;
+  for (const ProgOp& op : p.ops) keys.push_back(op_key(op, 16384));
+  return keys;
+}
+
+/// fconv2d's row loop: per output row one accumulator reset, seven input
+/// rows of (load, FMA, 6 x (slide, FMA), scalar reload) and a store —
+/// 115 ops, whose first 32 (two input rows) repeat 3.5 times inside it.
+Program conv_rows(unsigned rows, std::uint64_t pitch) {
+  ProgramBuilder pb(16384, "conv");
+  pb.vsetvli(64, Sew::k64, kLmul2);
+  for (unsigned r = 0; r < rows; ++r) {
+    pb.vfmv_v_f(24, 0.0);
+    unsigned rot = 0;
+    for (unsigned dr = 0; dr < 7; ++dr) {
+      const unsigned row = dr % 2 == 0 ? 4 : 6;
+      pb.vle(row, 0x10000 + (r + dr) * pitch);
+      pb.vfmacc_vf(24, 1.0, row);
+      unsigned cur = row;
+      for (unsigned dc = 1; dc < 7; ++dc) {
+        const unsigned nxt = 8 + 2 * (rot++ % 6);
+        pb.vfslide1down(nxt, cur, 0.0);
+        pb.vfmacc_vf(24, 1.0, nxt);
+        cur = nxt;
+      }
+      pb.scalar_load();
+      pb.scalar_cycles(1);
+    }
+    pb.vse(24, 0x800000 + r * 512);
+    pb.scalar_cycles(2);
+  }
+  return pb.take();
+}
+
+TEST(LoopRegions, PicksTheRowBodyOverItsInnerRepeat) {
+  const Program p = conv_rows(16, 70 * 8);
+  const std::vector<LoopRegion> regions = find_loop_regions(keys_of(p));
+  ASSERT_EQ(regions.size(), 1u);
+  EXPECT_EQ(regions[0].period, 115u);
+  EXPECT_EQ(regions[0].start, 1u);
+  EXPECT_EQ(regions[0].end, p.ops.size());
+  // Capped below the row length, only the inner repeat is left to find.
+  for (const LoopRegion& r : find_loop_regions(keys_of(p), 64)) {
+    EXPECT_EQ(r.period, 32u);
+  }
+}
+
+TEST(LoopRegions, SmallestPeriodWinsWhenItCoversTheRegion) {
+  // A 4-op body repeated 40 times is also periodic at 8, 12, ...; those
+  // cover the same ops with a longer warm-up, so they must never win.
+  ProgramBuilder pb(16384, "axpy");
+  pb.vsetvli(64, Sew::k64, kLmul1);
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    pb.vle(8, 0x1000 + i * 512);
+    pb.vfmacc_vf(16, 2.0, 8);
+    pb.vse(16, 0x100000 + i * 512);
+    pb.scalar_cycles(1);
+  }
+  const Program p = pb.take();
+  const std::vector<LoopRegion> regions = find_loop_regions(keys_of(p));
+  ASSERT_EQ(regions.size(), 1u);
+  EXPECT_EQ(regions[0].period, 4u);
+  EXPECT_EQ(regions[0].start, 1u);
+  EXPECT_EQ(regions[0].end, p.ops.size());
+}
+
+TEST(LoopRegions, InnerLoopsBeatAFewLongIterations) {
+  // exp's shape: a 40-op strip body whose input register alternates (so
+  // the signature period is two strips) around an 11-iteration inner
+  // loop. Four strips are two long periods, which batch nothing; the four
+  // inner loops must be kept rather than swallowed.
+  ProgramBuilder pb(16384, "strips");
+  for (unsigned s = 0; s < 4; ++s) {
+    pb.vsetvli(256, Sew::k64, kLmul1);
+    pb.vle(4 + s % 2, 0x1000 + s * 2048);
+    pb.vfmul_vf(6, 4 + s % 2, 1.5);
+    for (unsigned k = 0; k < 11; ++k) {
+      pb.vfmv_v_f(7, 0.5);
+      pb.vfmadd_vv(6, 4 + s % 2, 7);
+    }
+    pb.vse(6, 0x100000 + s * 2048);
+    pb.scalar_cycles(2);
+  }
+  const Program p = pb.take();
+  const std::vector<LoopRegion> regions = find_loop_regions(keys_of(p));
+  ASSERT_EQ(regions.size(), 4u);
+  for (const LoopRegion& r : regions) {
+    EXPECT_EQ(r.period, 2u);
+    EXPECT_EQ(r.end - r.start, 22u);
+  }
+}
+
+TEST(SuperPeriod, DriftingPitchRepeatsEveryBusOverGcdRows) {
+  // 70 doubles per row: 560 B, 48 B past a 512 B bus multiple at 128 B
+  // bus -> phase step 48, gcd 16 -> the phase repeats every 8 rows; at a
+  // 64 B bus: 560 mod 64 = 48 -> every 4 rows.
+  const Program p = conv_rows(16, 70 * 8);
+  const LoopRegion r{1, p.ops.size(), 115};
+  EXPECT_EQ(phase_super_period(p, r, 128), 8u);
+  EXPECT_EQ(phase_super_period(p, r, 64), 4u);
+  // A bus-multiple pitch never drifts.
+  EXPECT_EQ(phase_super_period(conv_rows(16, 64 * 8), r, 128), 1u);
+}
+
+TEST(SuperPeriod, OnlyConstantUnitStrideWalksCount) {
+  ProgramBuilder pb(16384, "mixed");
+  pb.vsetvli(16, Sew::k64, kLmul1);
+  for (std::uint64_t i = 0; i < 12; ++i) {
+    pb.vle(8, 0x1000 + i * 32);                 // step 32: every 2
+    pb.vle(10, 0x8000 + (i % 3) * 8 + i * 64);  // not a constant delta
+    pb.vlse(12, 0x9000 + i * 8, 16);            // strided: no bus phase
+    pb.vse(14, 0xA000 - i * 16);                // descending: -16 = 48: every 4
+  }
+  const Program p = pb.take();
+  // Had the irregular or strided walks counted, their 8-byte steps would
+  // have made it 8.
+  EXPECT_EQ(phase_super_period(p, LoopRegion{1, p.ops.size(), 4}, 64), 4u);
+}
+
 // ---- two-level nest detection ----------------------------------------------
 
 /// 4 rows x 5 strips of (vle, vfadd) with `pitch` between row starts.
@@ -228,7 +350,7 @@ TEST(Disasm, MaskedSuffix) {
   ProgramBuilder pb(16384, "t");
   pb.vsetvli(16, Sew::k64, kLmul1);
   pb.vfadd_vv(8, 4, 2, /*masked=*/true);
-  const VInstr& in = std::get<VInstr>(pb.take().ops[1]);
+  const VInstr in = std::get<VInstr>(pb.take().ops[1]);
   EXPECT_NE(disasm(in).find("v0.t"), std::string::npos);
 }
 
@@ -236,7 +358,7 @@ TEST(Disasm, AccumulatorScalarShown) {
   ProgramBuilder pb(16384, "t");
   pb.vsetvli(16, Sew::k64, kLmul1);
   pb.vfmul_vf_acc(8, 4);
-  const VInstr& in = std::get<VInstr>(pb.take().ops[1]);
+  const VInstr in = std::get<VInstr>(pb.take().ops[1]);
   EXPECT_NE(disasm(in).find("fs=<acc>"), std::string::npos);
 }
 

@@ -8,6 +8,8 @@
 #include "driver/job.hpp"
 #include "driver/report.hpp"
 #include "driver/runner.hpp"
+#include "kernels/common.hpp"
+#include "machine/machine.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_export.hpp"
 #include "store/json.hpp"
@@ -208,6 +210,29 @@ TEST(Observability, TraceExportDeterministicAcrossWorkerCounts) {
   const std::string doc4 = export_chrome_trace(
       export_jobs(driver::run_sweep(spec, opts)));
   EXPECT_EQ(doc1, doc4);
+}
+
+TEST(Observability, BatchedTraceExportByteIdenticalToOracle) {
+  // fconv2d batches in super-periods of its drifting row loads; the trace
+  // records replayed for the batched windows must export exactly what the
+  // cycle-stepped oracle records instruction by instruction.
+  for (const unsigned lanes : {16u, 64u}) {
+    const auto traced = [&](TimingMode mode, RunStats* stats) {
+      MachineConfig cfg = MachineConfig::araxl(lanes);
+      cfg.timing_mode = mode;
+      Machine m(cfg);
+      auto kernel = make_kernel("fconv2d");
+      InstrTrace trace;
+      *stats = m.run(kernel->build(m, 64), &trace);
+      return obs::export_chrome_trace({{"fconv2d", &trace}});
+    };
+    RunStats ev;
+    RunStats oracle;
+    const std::string ev_doc = traced(TimingMode::kEventDriven, &ev);
+    const std::string oracle_doc = traced(TimingMode::kCycleStepped, &oracle);
+    EXPECT_GT(ev.batched_iterations, 0u) << lanes << " lanes";
+    EXPECT_TRUE(ev_doc == oracle_doc) << lanes << " lanes";
+  }
 }
 
 TEST(Observability, TraceExportHandlesNullTraces) {

@@ -10,7 +10,10 @@
 //    setup-time ordering, and alignment robustness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <numeric>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "driver/registry.hpp"
@@ -592,6 +595,104 @@ Program loop_program(std::uint64_t vlen_bits, std::uint64_t seed) {
   return pb.take();
 }
 
+// ---- 4b. super-periods: drifting bus phases and long loop bodies -------------
+//
+// A row loop whose input pitch is not a bus multiple moves its bus phase
+// every row, so no two consecutive rows dispatch alike; the phase repeats
+// only every m = bus / gcd(pitch mod bus, bus) rows, and the batcher may
+// engage only in super-periods of m rows. These programs drive that path:
+// an unrolled f x f stencil row body (27..87 ops, so often longer than
+// 64) over a pitch with an odd or small even skew, row counts that end
+// mid-super-period, column strips that end on a vl tail, and a 1D strip
+// loop whose drifting walk reaches its vl tail mid-super-period.
+constexpr std::uint64_t kDriftBytes = 256 * 1024;
+
+struct DriftShape {
+  bool two_d = true;
+  std::uint64_t chunk = 8;  ///< elements per full strip
+  std::uint64_t skew = 1;   ///< pitch skew past the strip, in elements
+  std::uint64_t tail = 0;   ///< elements in a final vl-tail strip (0: none)
+  unsigned f = 3;           ///< stencil size (2D only)
+  std::uint64_t supers = 3; ///< whole super-periods of rows/strips
+  std::uint64_t extra = 0;  ///< rows/strips past them (mod the super-period)
+};
+
+DriftShape random_drift_shape(std::uint64_t seed) {
+  Rng rng(seed);
+  DriftShape s;
+  s.two_d = rng.next_below(3) != 0;
+  s.chunk = 8u << rng.next_below(2);
+  s.skew = 1 + rng.next_below(6);
+  s.tail = rng.next_below(2) == 0 ? 1 + rng.next_below(s.chunk - 1) : 0;
+  s.f = 3 + static_cast<unsigned>(rng.next_below(4));
+  s.supers = 3 + rng.next_below(3);
+  s.extra = rng.next_below(1u << 10);
+  return s;
+}
+
+Program drifting_program(const MachineConfig& cfg, const DriftShape& s) {
+  ProgramBuilder pb(cfg.effective_vlen(), "drift");
+  const std::uint64_t bus = cfg.mem_bytes_per_cycle();
+  const auto super_period = [&](std::uint64_t pitch_bytes) {
+    return bus / std::gcd(pitch_bytes % bus, bus);
+  };
+  const std::uint64_t out = kBase + kDriftBytes / 2;
+
+  if (!s.two_d) {
+    // 1D: each strip's load advances (chunk + skew) elements.
+    const std::uint64_t pitch = (s.chunk + s.skew) * 8;
+    const std::uint64_t m = super_period(pitch);
+    const std::uint64_t total = (s.supers * m + s.extra % m) * s.chunk + s.tail;
+    std::uint64_t a = kBase;
+    std::uint64_t c = out;
+    for (std::uint64_t done = 0; done < total;) {
+      const std::uint64_t vl =
+          pb.vsetvli(std::min(s.chunk, total - done), Sew::k64, kLmul1);
+      pb.vle(8, a);
+      pb.vfmacc_vf(16, 0.5, 8);
+      pb.vse(16, c);
+      pb.scalar_cycles(1);
+      a += pitch;
+      c += vl * 8;
+      done += vl;
+    }
+    return pb.take();
+  }
+
+  // 2D: fconv2d-shaped f x f stencil, one column strip plus an optional
+  // tail strip; the row body is 1 + f * (2f + 2) + 2 ops.
+  const std::uint64_t cols = s.chunk + s.tail;
+  const std::uint64_t pitch = (cols + s.f - 1 + s.skew) * 8;
+  const std::uint64_t m = super_period(pitch);
+  const std::uint64_t rows = s.supers * m + s.extra % m;
+  for (std::uint64_t col = 0; col < cols;) {
+    const std::uint64_t vl =
+        pb.vsetvli(std::min(s.chunk, cols - col), Sew::k64, kLmul1);
+    for (std::uint64_t r = 0; r < rows; ++r) {
+      pb.vfmv_v_f(24, 0.0);
+      unsigned rot = 0;
+      for (unsigned dr = 0; dr < s.f; ++dr) {
+        const unsigned row = 4 + dr % 2;
+        pb.vle(row, kBase + (r + dr) * pitch + col * 8);
+        pb.vfmacc_vf(24, 0.25, row);
+        unsigned cur = row;
+        for (unsigned dc = 1; dc < s.f; ++dc) {
+          const unsigned nxt = 8 + rot++ % 6;
+          pb.vfslide1down(nxt, cur, 0.5);
+          pb.vfmacc_vf(24, 0.125, nxt);
+          cur = nxt;
+        }
+        pb.scalar_load();
+        pb.scalar_cycles(1);
+      }
+      pb.vse(24, out + (r * cols + col) * 8);
+      pb.scalar_cycles(2);
+    }
+    col += vl;
+  }
+  return pb.take();
+}
+
 struct LoopRun {
   RunStats stats;
   InstrTrace trace;
@@ -599,19 +700,70 @@ struct LoopRun {
 };
 
 LoopRun run_loop_with_mode(MachineConfig cfg, TimingMode mode,
-                           const Program& prog, std::uint64_t seed) {
+                           const Program& prog, std::uint64_t seed,
+                           std::uint64_t region_bytes) {
   cfg.timing_mode = mode;
   LoopRun out;
   out.machine = std::make_unique<Machine>(cfg);
   init_machine(*out.machine, seed);
+  if (region_bytes > kRegionBytes) {
+    out.machine->mem().store_doubles(
+        kBase, random_doubles(region_bytes / 8, -2.0, 2.0, seed + 2000));
+  }
   out.stats = out.machine->run(prog, &out.trace);
   return out;
 }
 
-class LoopEquivalence : public testing::TestWithParam<std::uint64_t> {};
+/// Runs `prog` on both engines and expects identical stats, traces,
+/// registers and memory over [kBase, kBase + region_bytes); the event
+/// engine's stats go to `ev_stats` when non-null.
+void expect_loop_equivalent(const MachineConfig& cfg, const Program& prog,
+                            std::uint64_t seed, std::uint64_t region_bytes,
+                            const std::string& label,
+                            RunStats* ev_stats = nullptr) {
+  const LoopRun ev =
+      run_loop_with_mode(cfg, TimingMode::kEventDriven, prog, seed, region_bytes);
+  const LoopRun oracle =
+      run_loop_with_mode(cfg, TimingMode::kCycleStepped, prog, seed, region_bytes);
+  if (ev_stats != nullptr) *ev_stats = ev.stats;
+  expect_same_stats(ev.stats, oracle.stats, label);
 
-TEST_P(LoopEquivalence, BatchedLoopsBitIdenticalToOracle) {
-  const std::uint64_t seed = GetParam();
+  // Retirement order and per-instruction timestamps: the batched trace
+  // replay must be indistinguishable from the oracle's per-cycle trace.
+  ASSERT_EQ(ev.trace.records().size(), oracle.trace.records().size()) << label;
+  for (std::size_t i = 0; i < ev.trace.records().size(); ++i) {
+    const TraceRecord& x = ev.trace.records()[i];
+    const TraceRecord& y = oracle.trace.records()[i];
+    EXPECT_EQ(x.id, y.id) << label << " #" << i;
+    EXPECT_EQ(x.prog_index, y.prog_index) << label << " #" << i;
+    EXPECT_EQ(x.text, y.text) << label << " #" << i;
+    EXPECT_EQ(x.issued, y.issued) << label << " #" << i << " " << x.text;
+    EXPECT_EQ(x.dispatched, y.dispatched) << label << " #" << i << " " << x.text;
+    EXPECT_EQ(x.first_result, y.first_result) << label << " #" << i << " " << x.text;
+    EXPECT_EQ(x.completed, y.completed) << label << " #" << i << " " << x.text;
+  }
+
+  // Architectural state: the batch path re-executes every op through the
+  // functional engine; registers and memory must match the oracle's.
+  const std::uint64_t epr = cfg.effective_vlen() / 64;
+  for (unsigned v = 1; v < kNumVregs; ++v) {
+    for (std::uint64_t i = 0; i < epr; ++i) {
+      ASSERT_EQ(ev.machine->vrf().read_elem(v, i, 8),
+                oracle.machine->vrf().read_elem(v, i, 8))
+          << label << " v" << v << "[" << i << "]";
+    }
+  }
+  for (std::uint64_t off = 0; off < region_bytes; off += 8) {
+    ASSERT_EQ(ev.machine->mem().load<std::uint64_t>(kBase + off),
+              oracle.machine->mem().load<std::uint64_t>(kBase + off))
+        << label << " mem offset " << off;
+  }
+}
+
+/// The loop-fuzz machine shapes: flat, lumped, wide, 2-lane clusters,
+/// latency-knobbed and hierarchical (snapshots taken on machines whose
+/// descriptors differ from every flat config).
+std::vector<MachineConfig> loop_configs(bool include_wide) {
   MachineConfig shaped = MachineConfig::araxl_shaped(4, 2);
   shaped.vlen_bits = 8192;
   shaped.validate();
@@ -620,64 +772,64 @@ TEST_P(LoopEquivalence, BatchedLoopsBitIdenticalToOracle) {
   laggy.reqi_regs = 1;
   laggy.ring_regs = 1;
   laggy.validate();
-  // Hierarchical topology: loop batching must stay gated on the group-hop
-  // latencies and deeper pipes too (snapshots taken on a machine whose
-  // descriptor differs from every flat config).
   MachineConfig hier = MachineConfig::araxl_hier(2, 4, 4);
   hier.vlen_bits = 8192;
   hier.validate();
-  const MachineConfig configs[] = {
-      MachineConfig::araxl(8),
-      MachineConfig::ara2(8),
-      MachineConfig::araxl(64),
-      shaped,
-      laggy,
-      hier,
-  };
-  for (const MachineConfig& cfg : configs) {
+  std::vector<MachineConfig> out = {MachineConfig::araxl(8), MachineConfig::ara2(8)};
+  if (include_wide) out.push_back(MachineConfig::araxl(64));
+  out.insert(out.end(), {shaped, laggy, hier});
+  return out;
+}
+
+class LoopEquivalence : public testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(LoopEquivalence, BatchedLoopsBitIdenticalToOracle) {
+  const std::uint64_t seed = GetParam();
+  for (const MachineConfig& cfg : loop_configs(/*include_wide=*/true)) {
     const Program prog = loop_program(cfg.effective_vlen(), seed);
-    const LoopRun ev =
-        run_loop_with_mode(cfg, TimingMode::kEventDriven, prog, seed);
-    const LoopRun oracle =
-        run_loop_with_mode(cfg, TimingMode::kCycleStepped, prog, seed);
-    const std::string label = cfg.name() + " loopseed " + std::to_string(seed);
-    expect_same_stats(ev.stats, oracle.stats, label);
+    expect_loop_equivalent(cfg, prog, seed, kRegionBytes,
+                           cfg.name() + " loopseed " + std::to_string(seed));
+  }
+}
 
-    // Retirement order and per-instruction timestamps: the batched trace
-    // replay must be indistinguishable from the oracle's per-cycle trace.
-    ASSERT_EQ(ev.trace.records().size(), oracle.trace.records().size()) << label;
-    for (std::size_t i = 0; i < ev.trace.records().size(); ++i) {
-      const TraceRecord& x = ev.trace.records()[i];
-      const TraceRecord& y = oracle.trace.records()[i];
-      EXPECT_EQ(x.id, y.id) << label << " #" << i;
-      EXPECT_EQ(x.prog_index, y.prog_index) << label << " #" << i;
-      EXPECT_EQ(x.text, y.text) << label << " #" << i;
-      EXPECT_EQ(x.issued, y.issued) << label << " #" << i << " " << x.text;
-      EXPECT_EQ(x.dispatched, y.dispatched) << label << " #" << i << " " << x.text;
-      EXPECT_EQ(x.first_result, y.first_result) << label << " #" << i << " " << x.text;
-      EXPECT_EQ(x.completed, y.completed) << label << " #" << i << " " << x.text;
-    }
-
-    // Architectural state: the batch path re-executes every op through the
-    // functional engine; registers and memory must match the oracle's.
-    const std::uint64_t epr = cfg.effective_vlen() / 64;
-    for (unsigned v = 1; v < kNumVregs; ++v) {
-      for (std::uint64_t i = 0; i < epr; ++i) {
-        ASSERT_EQ(ev.machine->vrf().read_elem(v, i, 8),
-                  oracle.machine->vrf().read_elem(v, i, 8))
-            << label << " v" << v << "[" << i << "]";
-      }
-    }
-    for (std::uint64_t off = 0; off < kRegionBytes; off += 8) {
-      ASSERT_EQ(ev.machine->mem().load<std::uint64_t>(kBase + off),
-                oracle.machine->mem().load<std::uint64_t>(kBase + off))
-          << label << " mem offset " << off;
-    }
+TEST_P(LoopEquivalence, DriftingPhaseSuperPeriodsBitIdenticalToOracle) {
+  const std::uint64_t seed = GetParam();
+  const DriftShape shape = random_drift_shape(seed);
+  for (const MachineConfig& cfg : loop_configs(/*include_wide=*/false)) {
+    expect_loop_equivalent(cfg, drifting_program(cfg, shape), seed, kDriftBytes,
+                           cfg.name() + " driftseed " + std::to_string(seed));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Fuzz, LoopEquivalence,
                          testing::Range<std::uint64_t>(0, 15));
+
+TEST(LoopEquivalence, LongDriftingRowBodiesBatchInSuperPeriods) {
+  // The fuzz above is only meaningful if super-periods engage: an 87-op
+  // row body over an odd pitch, ending
+  // mid-super-period and then on a vl-tail strip, must batch — and stay
+  // exact — on every loop-fuzz machine.
+  DriftShape stencil;
+  stencil.f = 6;
+  stencil.skew = 1;
+  stencil.tail = 3;
+  stencil.extra = 5;
+  // A 1D strip loop whose drifting walk reaches its vl tail mid-super-period.
+  DriftShape strip = stencil;
+  strip.two_d = false;
+  strip.chunk = 16;
+  strip.supers = 16;  // the queues take ~10 super-periods to saturate
+  for (const MachineConfig& cfg : loop_configs(/*include_wide=*/false)) {
+    for (const DriftShape& shape : {stencil, strip}) {
+      const std::string label =
+          cfg.name() + (shape.two_d ? " stencil" : " strip");
+      RunStats ev;
+      expect_loop_equivalent(cfg, drifting_program(cfg, shape), 1, kDriftBytes,
+                             label, &ev);
+      EXPECT_GT(ev.batched_iterations, 0u) << label;
+    }
+  }
+}
 
 TEST(EngineEquivalence, TracesBitIdentical) {
   // Retirement order and per-instruction trace timestamps must match too,

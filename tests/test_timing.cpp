@@ -405,6 +405,33 @@ TEST(LoopBatching, EngagesOnStreamTriadSteadyState) {
   EXPECT_TRUE(ev == oracle);
 }
 
+TEST(LoopBatching, UnpaddedJacobi2dBatchesInSuperPeriods) {
+  // jacobi2d with its input pitch left at N + 2 doubles: every row load
+  // lands 16 bytes further along the bus than the last, so the phase only
+  // repeats every lanes/2 rows. The batcher must engage in super-periods
+  // and stay exact: counters against the oracle, results against the
+  // scalar golden. (The signature period is three rows, so a super-period
+  // spans lcm(3, lanes/2) rows: 48 at 32 lanes; at 64 lanes 96 rows leave
+  // fewer than the three super-periods batching needs in 256 rows.)
+  for (const unsigned lanes : {8u, 16u, 32u}) {
+    MachineConfig cfg = MachineConfig::araxl(lanes);
+    cfg.timing_mode = TimingMode::kEventDriven;
+    Machine ev(cfg);
+    auto k_ev = make_jacobi2d_unpadded();
+    const RunStats s_ev = ev.run(k_ev->build(ev, 128));
+    cfg.timing_mode = TimingMode::kCycleStepped;
+    Machine oracle(cfg);
+    auto k_or = make_jacobi2d_unpadded();
+    const RunStats s_or = oracle.run(k_or->build(oracle, 128));
+
+    const std::string label = std::to_string(lanes) + " lanes";
+    EXPECT_GT(s_ev.batched_iterations, 0u) << label;
+    EXPECT_TRUE(s_ev == s_or) << label;
+    EXPECT_TRUE(k_ev->verify(ev).ok(k_ev->tolerance())) << label;
+    EXPECT_TRUE(k_or->verify(oracle).ok(k_or->tolerance())) << label;
+  }
+}
+
 TEST(LoopBatching, DisengagesOnVlTail) {
   // A strip total that is NOT a multiple of VLMAX ends on a smaller
   // vsetvli grant: the batcher must stop before the tail iteration and the
