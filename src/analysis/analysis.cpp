@@ -337,12 +337,12 @@ std::string render_rows_csv(const Dataset& ds) {
   std::string out =
       "config,kernel,bytes_per_lane,seed,total_lanes,vlen_bits,cycles,flops,"
       "fpu_util,flop_per_cycle,freq_ghz,area_mm2,power_w,gflops,gflops_per_w,"
-      "gflops_per_mm2,fpu_busy_slots";
-  for (std::size_t i = 0; i < kNumStallReasons; ++i) {
-    out += ",stall_";
-    out += stall_reason_name(static_cast<StallReason>(i));
+      "gflops_per_mm2";
+  for (const StatField& f : kRunStatsFields) {
+    if (!f.has(kReportRow)) continue;
+    for (std::size_t i = 0; i < f.size; ++i) out += "," + f.csv_column(i);
   }
-  out += ",batched_iterations,batch_clamps,warmup_projected\n";
+  out += "\n";
   for (const Row& r : ds.rows) {
     out += r.label + "," + r.kernel + "," + unum(r.bytes_per_lane) + "," +
            unum(r.seed) + "," + unum(r.stats.total_lanes) + "," +
@@ -350,13 +350,14 @@ std::string render_rows_csv(const Dataset& ds) {
            unum(r.stats.flops) + "," + fnum(r.stats.fpu_util()) + "," +
            fnum(r.stats.flop_per_cycle()) + "," + fnum(r.freq_ghz) + "," +
            fnum(r.area_mm2) + "," + fnum(r.power_w) + "," + fnum(r.gflops) +
-           "," + fnum(r.gflops_per_w) + "," + fnum(r.gflops_per_mm2) + "," +
-           unum(r.stats.fpu_busy_slots);
-    for (std::size_t i = 0; i < kNumStallReasons; ++i) {
-      out += "," + unum(r.stats.stall_cycles[i]);
+           "," + fnum(r.gflops_per_w) + "," + fnum(r.gflops_per_mm2);
+    for (const StatField& f : kRunStatsFields) {
+      if (!f.has(kReportRow)) continue;
+      for (const std::uint64_t v : f.values(r.stats)) {
+        out += ',';
+        out += unum(v);
+      }
     }
-    out += "," + unum(r.stats.batched_iterations) + "," +
-           unum(r.stats.batch_clamps) + "," + unum(r.stats.warmup_projected);
     out += "\n";
   }
   return out;
@@ -609,31 +610,22 @@ Dataset dataset_from_json_report(std::string_view doc,
     row.bytes_per_lane = rec.get("bytes_per_lane")->as_u64();
     row.seed = rec.get("seed")->as_u64();
     row.vlen_bits = cfg->get("vlen_bits")->as_u64();
-    row.stats.total_lanes = cfg->get("total_lanes")->as_u64();
-    row.stats.cycles = stats->get("cycles")->as_u64();
-    row.stats.flops = stats->get("flops")->as_u64();
-    row.stats.fpu_result_elems = stats->get("fpu_result_elems")->as_u64();
-    if (const store::JsonValue* st = stats->get("stall_cycles")) {
-      for (std::size_t i = 0; i < kNumStallReasons; ++i) {
-        const store::JsonValue* v =
-            st->get(stall_reason_name(static_cast<StallReason>(i)));
-        if (v != nullptr) row.stats.stall_cycles[i] = v->as_u64();
+    // A field the report lacks stays 0; total_lanes lives under "config".
+    for (const StatField& f : kRunStatsFields) {
+      const store::JsonValue* v = stats->get(f.name);
+      if (v == nullptr) continue;
+      const std::span<std::uint64_t> dst = f.values(row.stats);
+      if (!f.is_array()) {
+        dst[0] = v->as_u64();
+        continue;
+      }
+      for (std::size_t i = 0; i < dst.size(); ++i) {
+        if (const store::JsonValue* slot = v->get(f.slot_name(i))) {
+          dst[i] = slot->as_u64();
+        }
       }
     }
-    if (const store::JsonValue* v = stats->get("fpu_busy_slots")) {
-      row.stats.fpu_busy_slots = v->as_u64();
-    }
-    // Batching provenance: present (and nonzero) only in --provenance
-    // reports; default reports carry deterministic zeros.
-    if (const store::JsonValue* v = stats->get("batched_iterations")) {
-      row.stats.batched_iterations = v->as_u64();
-    }
-    if (const store::JsonValue* v = stats->get("batch_clamps")) {
-      row.stats.batch_clamps = v->as_u64();
-    }
-    if (const store::JsonValue* v = stats->get("warmup_projected")) {
-      row.stats.warmup_projected = v->as_u64();
-    }
+    row.stats.total_lanes = cfg->get("total_lanes")->as_u64();
     row.freq_ghz = ppa->get("freq_ghz")->as_double();
     row.area_mm2 = ppa->get("area_mm2")->as_double();
     row.power_w = ppa->get("power_w")->as_double();

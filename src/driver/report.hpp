@@ -24,13 +24,12 @@ namespace araxl::driver {
 /// reports the real per-job values instead.
 struct ReportOptions {
   bool live_cache_flags = false;
-  /// Report the real engine-provenance counters (`wakeups_total`,
-  /// `batched_iterations`, the typed `batch_rejects` breakdown, per-job
-  /// retry `attempts`) instead of zeros. Like `cache_hit`, these are
-  /// zeroed by default: replayed-from-store results carry no provenance
-  /// (the store persists measurements, not how they were simulated), and
-  /// the oracle wakes every cycle — live values would break the
-  /// byte-identity `cmp`s between warm/cold and sharded/unsharded runs.
+  /// Report the real values of every kReportZeroed RunStats field (engine
+  /// provenance and the stall taxonomy) and per-job retry `attempts`
+  /// instead of zeros. Like `cache_hit`, these are zeroed by default: the
+  /// oracle wakes every cycle and a retried job needed more attempts —
+  /// live values would break the byte-identity `cmp`s between warm/cold,
+  /// sharded/unsharded and worker-count runs.
   bool live_provenance = false;
 };
 

@@ -1,6 +1,7 @@
 #include "driver/spec.hpp"
 
 #include <charconv>
+#include <limits>
 
 #include "common/contracts.hpp"
 
@@ -14,6 +15,15 @@ std::uint64_t parse_u64(std::string_view s, std::string_view what) {
   check(ec == std::errc() && ptr == s.data() + s.size(),
         "bad number in " + std::string(what) + ": '" + std::string(s) + "'");
   return v;
+}
+
+// Out-of-range values are rejected, never truncated (araxl:4294967304 is
+// not araxl:8).
+unsigned parse_unsigned(std::string_view s, std::string_view what) {
+  const std::uint64_t v = parse_u64(s, what);
+  check(v <= std::numeric_limits<unsigned>::max(),
+        "number out of range in " + std::string(what) + ": '" + std::string(s) + "'");
+  return static_cast<unsigned>(v);
 }
 
 }  // namespace
@@ -60,26 +70,24 @@ ConfigPoint parse_config_spec(std::string_view spec) {
   const std::size_t x = shape.find('x');
   if (kind == "araxl") {
     if (x == std::string::npos) {
-      cfg = MachineConfig::araxl(
-          static_cast<unsigned>(parse_u64(shape, label)));
+      cfg = MachineConfig::araxl(parse_unsigned(shape, label));
     } else {
       const std::size_t x2 = shape.find('x', x + 1);
       if (x2 == std::string::npos) {
         cfg = MachineConfig::araxl_shaped(
-            static_cast<unsigned>(parse_u64(shape.substr(0, x), label)),
-            static_cast<unsigned>(parse_u64(shape.substr(x + 1), label)));
+            parse_unsigned(shape.substr(0, x), label),
+            parse_unsigned(shape.substr(x + 1), label));
       } else {
         // Three-level hierarchical shape: groups x clusters x lanes.
         cfg = MachineConfig::araxl_hier(
-            static_cast<unsigned>(parse_u64(shape.substr(0, x), label)),
-            static_cast<unsigned>(
-                parse_u64(shape.substr(x + 1, x2 - x - 1), label)),
-            static_cast<unsigned>(parse_u64(shape.substr(x2 + 1), label)));
+            parse_unsigned(shape.substr(0, x), label),
+            parse_unsigned(shape.substr(x + 1, x2 - x - 1), label),
+            parse_unsigned(shape.substr(x2 + 1), label));
       }
     }
   } else if (kind == "ara2") {
     check(x == std::string::npos, "ara2 takes a plain lane count: " + label);
-    cfg = MachineConfig::ara2(static_cast<unsigned>(parse_u64(shape, label)));
+    cfg = MachineConfig::ara2(parse_unsigned(shape, label));
   } else {
     fail("unknown machine kind '" + kind + "' in config spec '" + label + "'");
   }
@@ -94,21 +102,22 @@ ConfigPoint parse_config_spec(std::string_view spec) {
     if (key == "groups") {
       // Re-split the machine's clusters into N groups, preserving the
       // total lane count: araxl:128:groups=8 is 8 groups x 4 clusters.
-      const unsigned groups = static_cast<unsigned>(parse_u64(val, label));
+      const unsigned groups = parse_unsigned(val, label);
       const unsigned total = cfg.topo.total_clusters();
       check(groups >= 1 && total % groups == 0,
             "groups must divide the cluster count in '" + label + "'");
       cfg.topo = Topology{total / groups, cfg.topo.lanes, groups};
     } else if (key == "glsu") {
-      cfg.glsu_regs = static_cast<unsigned>(parse_u64(val, label));
+      cfg.glsu_regs = parse_unsigned(val, label);
     } else if (key == "reqi") {
-      cfg.reqi_regs = static_cast<unsigned>(parse_u64(val, label));
+      cfg.reqi_regs = parse_unsigned(val, label);
     } else if (key == "ring") {
-      cfg.ring_regs = static_cast<unsigned>(parse_u64(val, label));
+      cfg.ring_regs = parse_unsigned(val, label);
     } else if (key == "l2") {
-      cfg.l2_latency = static_cast<unsigned>(parse_u64(val, label));
+      cfg.l2_latency = parse_unsigned(val, label);
     } else if (key == "vlen") {
-      cfg.vlen_bits = parse_u64(val, label);
+      cfg.vlen_bits = parse_u64(val, label);  // 0 would mean "default VLEN"
+      check(cfg.vlen_bits != 0, "vlen must be nonzero in '" + label + "'");
     } else if (key == "mode") {
       if (val == "event") {
         cfg.timing_mode = TimingMode::kEventDriven;
@@ -130,8 +139,8 @@ ShardSpec parse_shard_spec(std::string_view spec) {
   check(slash != std::string_view::npos && slash > 0 && slash + 1 < spec.size(),
         "shard spec must be i/N (e.g. 2/4): '" + std::string(spec) + "'");
   ShardSpec shard;
-  shard.index = static_cast<unsigned>(parse_u64(spec.substr(0, slash), "shard"));
-  shard.count = static_cast<unsigned>(parse_u64(spec.substr(slash + 1), "shard"));
+  shard.index = parse_unsigned(spec.substr(0, slash), "shard");
+  shard.count = parse_unsigned(spec.substr(slash + 1), "shard");
   check(shard.count >= 1 && shard.index >= 1 && shard.index <= shard.count,
         "shard index must be in 1..count: '" + std::string(spec) + "'");
   return shard;

@@ -67,15 +67,11 @@ struct EngineInstruments {
   std::array<obs::Counter*, kNumUnits> unit_busy{};
   std::array<obs::Counter*, kNumUnits> unit_stall{};
   std::array<obs::Counter*, kNumUnits> unit_idle{};
-  std::array<obs::Counter*, kNumBatchRejects> batch_reject{};
-  std::array<obs::Counter*, kNumStallReasons> stall{};
   obs::Histogram* occupancy = nullptr;
   obs::Counter* runs = nullptr;
-  obs::Counter* cycles = nullptr;
-  obs::Counter* wakeups = nullptr;
-  obs::Counter* batched_iterations = nullptr;
-  obs::Counter* warmup_projected = nullptr;
-  obs::Counter* batch_clamps = nullptr;
+  /// RunStats mirror, one handle per counter slot in kRunStatsFields order
+  /// (null for fields without a metric name); folded at the end of a run.
+  std::array<obs::Counter*, kRunStatsSlots> mirror{};
 };
 
 class TimingEngine {

@@ -41,6 +41,22 @@ std::string_view stall_reason_name(StallReason r) {
   return "?";
 }
 
+std::string StatField::csv_column(std::size_t i) const {
+  if (!is_array()) return std::string(name);
+  return std::string(column) + "_" + std::string(slot_name(i));
+}
+
+std::string StatField::metric_name(std::size_t i) const {
+  if (metric.empty() || !is_array()) return std::string(metric);
+  return std::string(metric) + "." + std::string(slot_name(i));
+}
+
+bool operator==(const RunStats& a, const RunStats& b) {
+  return std::ranges::all_of(kRunStatsFields, [&](const StatField& f) {
+    return f.has(kProvenance) || std::ranges::equal(f.values(a), f.values(b));
+  });
+}
+
 std::string RunStats::summary() const {
   std::string out;
   out += "cycles:            " + fmt_group(cycles) + "\n";

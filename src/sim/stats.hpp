@@ -5,9 +5,14 @@
 #ifndef ARAXL_SIM_STATS_HPP
 #define ARAXL_SIM_STATS_HPP
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 
 #include "sim/cycle.hpp"
 
@@ -108,23 +113,16 @@ struct RunStats {
   // For a pure-FP64 kernel this divides down to the element-level identity
   // sum/8 + fpu_result_elems == cycles * total_lanes. Byte-slots (not
   // elements) keep the partition exact for SEW<64 and widening ops, where a
-  // lane produces more than one element per cycle. Both counters are
-  // measurements, not provenance: the oracle, the event engine, and batched
-  // runs must agree bit for bit (they are inside operator==).
+  // lane produces more than one element per cycle.
   std::array<std::uint64_t, kNumStallReasons> stall_cycles{};  ///< lost byte-slots per reason
   std::uint64_t fpu_busy_slots = 0;  ///< byte-slots that carried an FPU result
 
   // ---- engine provenance (how the run was simulated, not what it did) -----
-  // Excluded from operator== on purpose: the cycle-stepped oracle touches
-  // every cycle while the event engine wakes up orders of magnitude less
-  // often, yet both must agree on every counter above. Reporters zero these
-  // by default so caches/shards/worker-count `cmp` contracts keep holding.
   std::uint64_t wakeups_total = 0;        ///< scheduler wakeups (oracle: cycles)
   std::uint64_t batched_iterations = 0;   ///< loop iterations fast-forwarded
                                           ///< by steady-state batching
-  /// Batching rejections by reason, indexed by BatchReject. Like the two
-  /// counters above these are event-engine provenance: the oracle never
-  /// attempts batching, so its array stays zero.
+  /// Batching rejections by reason, indexed by BatchReject (the oracle
+  /// never attempts batching, so its array stays zero).
   std::array<std::uint64_t, kNumBatchRejects> batch_rejects{};
   /// Engagements whose boundary snapshots matched only after canonicalizing
   /// timing-inert fields (warmup fast-forward projected past the fill
@@ -154,28 +152,161 @@ struct RunStats {
 
   /// Multi-line human-readable dump (used by examples).
   [[nodiscard]] std::string summary() const;
-
-  /// Field-wise equality over the *measurement* counters: the event-driven
-  /// engine must reproduce the cycle-stepped oracle's counters bit for bit
-  /// (differential tests). The provenance counters (wakeups_total,
-  /// batched_iterations) legitimately differ between engines and are not
-  /// compared.
-  friend bool operator==(const RunStats& a, const RunStats& b) {
-    return a.cycles == b.cycles && a.total_lanes == b.total_lanes &&
-           a.vinstrs == b.vinstrs && a.scalar_ops == b.scalar_ops &&
-           a.flops == b.flops && a.fpu_result_elems == b.fpu_result_elems &&
-           a.mem_read_bytes == b.mem_read_bytes &&
-           a.mem_write_bytes == b.mem_write_bytes &&
-           a.issue_stall_cycles == b.issue_stall_cycles &&
-           a.scalar_wait_cycles == b.scalar_wait_cycles &&
-           a.unit_busy_elems == b.unit_busy_elems &&
-           a.stall_cycles == b.stall_cycles &&
-           a.fpu_busy_slots == b.fpu_busy_slots;
-  }
-  friend bool operator!=(const RunStats& a, const RunStats& b) {
-    return !(a == b);
-  }
 };
+
+// ---- the field table --------------------------------------------------------
+//
+// Every RunStats member is described exactly once, in kRunStatsFields below;
+// equality, batching, the metrics mirror, the reporters, the result store,
+// the analysis layer and `araxl stats` all iterate it. Adding a counter is
+// one member above plus one table line (tests/test_store.cpp counts the
+// members against the table, so a member that skips it fails to build).
+
+/// Attributes of a RunStats field (bit flags of StatField::flags).
+enum StatFlag : unsigned {
+  /// How the run was simulated, not what it did: the oracle and the event
+  /// engine legitimately differ, so the field is outside operator== (every
+  /// other field is a measurement they agree on bit for bit). Implies
+  /// kReportZeroed.
+  kProvenance = 1u << 0,
+  /// A batch of K steady-state iterations adds K copies of the recorded
+  /// window's delta.
+  kPerWindow = 1u << 1,
+  /// Reported as 0 unless ReportOptions::live_provenance (`--provenance`).
+  kReportZeroed = 1u << 2,
+  /// A store record without it is rejected; other fields postdate the seed
+  /// schema and read as 0 when missing.
+  kStoreRequired = 1u << 3,
+  /// A column of the `araxl report` rows table (report.csv).
+  kReportRow = 1u << 4,
+};
+
+/// Descriptor of one RunStats member: a scalar counter or an array of
+/// counters indexed by an enum (Unit, BatchReject, StallReason).
+struct StatField {
+  /// Stable name: JSON key in reports and store records, CSV column of a
+  /// scalar.
+  std::string_view name;
+  unsigned flags = 0;
+  /// Mirrored metric (obs registry counter) name; an array slot appends
+  /// ".<slot name>". Empty when not mirrored.
+  std::string_view metric;
+  /// CSV column stem of an array: slot i is "<column>_<slot name>".
+  std::string_view column;
+  /// Counter slots: 1 for a scalar, the enum's size for an array.
+  std::size_t size = 1;
+  /// Array slot name (the enum-name function); nullptr for a scalar.
+  std::string_view (*slot_name)(std::size_t) = nullptr;
+  std::span<std::uint64_t> (*view)(RunStats&) = nullptr;
+
+  [[nodiscard]] constexpr bool has(unsigned f) const { return (flags & f) != 0; }
+  [[nodiscard]] constexpr bool is_array() const { return slot_name != nullptr; }
+  [[nodiscard]] std::span<std::uint64_t> values(RunStats& s) const {
+    return view(s);
+  }
+  [[nodiscard]] std::span<const std::uint64_t> values(const RunStats& s) const {
+    return view(const_cast<RunStats&>(s));  // read-only use of the view
+  }
+  /// CSV column of slot i: the name of a scalar, "<column>_<slot>" for an
+  /// array.
+  [[nodiscard]] std::string csv_column(std::size_t i) const;
+  /// Mirrored metric name of slot i ("" when not mirrored).
+  [[nodiscard]] std::string metric_name(std::size_t i) const;
+};
+
+namespace detail {
+
+template <auto Member>
+using MemberType =
+    std::remove_reference_t<decltype(std::declval<RunStats&>().*Member)>;
+
+template <auto Member>
+std::span<std::uint64_t> member_view(RunStats& s) {
+  if constexpr (std::is_same_v<MemberType<Member>, std::uint64_t>) {
+    return {&(s.*Member), 1};
+  } else {
+    return s.*Member;
+  }
+}
+
+template <class Enum>
+Enum enum_of(std::string_view (*)(Enum));  // unevaluated: the name fn's enum
+
+template <auto Name>
+std::string_view enum_slot(std::size_t i) {
+  return Name(static_cast<decltype(enum_of(Name))>(i));
+}
+
+/// Table entry for `Member`: a scalar, or (given the enum-name function
+/// `Name`) an array indexed by that enum.
+template <auto Member, auto Name = nullptr>
+constexpr StatField stat(std::string_view name, unsigned flags,
+                         std::string_view metric = {},
+                         std::string_view column = {}) {
+  if constexpr (Name == nullptr) {
+    return {name, flags, metric, {}, 1, nullptr, &member_view<Member>};
+  } else {
+    return {name, flags, metric, column, std::tuple_size_v<MemberType<Member>>,
+            &enum_slot<Name>, &member_view<Member>};
+  }
+}
+
+}  // namespace detail
+
+/// The seed schema's per-window measurement counters.
+inline constexpr unsigned kSeedCounter = kStoreRequired | kPerWindow;
+
+/// The RunStats field table, in serialization order (report JSON, store
+/// records, CSV column blocks).
+inline constexpr std::array kRunStatsFields = {
+    detail::stat<&RunStats::cycles>("cycles", kStoreRequired, "engine.cycles"),
+    detail::stat<&RunStats::total_lanes>("total_lanes", kStoreRequired),
+    detail::stat<&RunStats::vinstrs>("vinstrs", kSeedCounter),
+    detail::stat<&RunStats::scalar_ops>("scalar_ops", kSeedCounter),
+    detail::stat<&RunStats::flops>("flops", kSeedCounter),
+    detail::stat<&RunStats::fpu_result_elems>("fpu_result_elems", kSeedCounter),
+    detail::stat<&RunStats::mem_read_bytes>("mem_read_bytes", kSeedCounter),
+    detail::stat<&RunStats::mem_write_bytes>("mem_write_bytes", kSeedCounter),
+    detail::stat<&RunStats::issue_stall_cycles>("issue_stall_cycles", kSeedCounter),
+    detail::stat<&RunStats::scalar_wait_cycles>("scalar_wait_cycles", kSeedCounter),
+    detail::stat<&RunStats::unit_busy_elems, unit_name>(
+        "unit_busy_elems", kSeedCounter, {}, "busy"),
+    detail::stat<&RunStats::wakeups_total>(
+        "wakeups_total", kProvenance | kReportZeroed, "engine.wakeups"),
+    detail::stat<&RunStats::batched_iterations>(
+        "batched_iterations", kProvenance | kReportZeroed | kReportRow,
+        "engine.batched_iterations"),
+    detail::stat<&RunStats::batch_rejects, batch_reject_name>(
+        "batch_rejects", kProvenance | kReportZeroed, "engine.batch.reject",
+        "reject"),
+    detail::stat<&RunStats::batch_clamps>(
+        "batch_clamps", kProvenance | kReportZeroed | kReportRow,
+        "engine.batch.clamps"),
+    detail::stat<&RunStats::warmup_projected>(
+        "warmup_projected", kProvenance | kReportZeroed | kReportRow,
+        "engine.batch.warmup_projected"),
+    detail::stat<&RunStats::stall_cycles, stall_reason_name>(
+        "stall_cycles", kPerWindow | kReportZeroed | kReportRow,
+        "engine.stall", "stall"),
+    detail::stat<&RunStats::fpu_busy_slots>(
+        "fpu_busy_slots", kPerWindow | kReportZeroed | kReportRow),
+};
+
+static_assert(std::ranges::all_of(kRunStatsFields, [](const StatField& f) {
+  return !f.has(kProvenance) || f.has(kReportZeroed);
+}));
+
+/// Counter slots over the whole table (a scalar is one slot).
+inline constexpr std::size_t kRunStatsSlots = [] {
+  std::size_t n = 0;
+  for (const StatField& f : kRunStatsFields) n += f.size;
+  return n;
+}();
+
+/// Field-wise equality over the measurement fields (every field without
+/// kProvenance): the event-driven engine must reproduce the cycle-stepped
+/// oracle bit for bit (differential tests).
+bool operator==(const RunStats& a, const RunStats& b);
 
 }  // namespace araxl
 

@@ -141,6 +141,24 @@ TEST(ConfigSpec, ParsesShapesAndKnobs) {
   }
 }
 
+TEST(ConfigSpec, RejectsOutOfRangeValuesInsteadOfTruncating) {
+  // 4294967304 = 2^32 + 8 and 4294967297 = 2^32 + 1: a 32-bit truncation
+  // would read them as araxl:8 and glsu=1.
+  for (const char* bad :
+       {"araxl:4294967304", "ara2:4294967304", "araxl:2x4294967300",
+        "araxl:2x2x4294967300", "araxl:8:glsu=4294967297",
+        "araxl:8:reqi=4294967297", "araxl:8:ring=4294967297",
+        "araxl:8:l2=4294967297", "araxl:64:groups=4294967297",
+        // vlen_bits == 0 means "default VLEN"; an explicit 0 is an error.
+        "araxl:8:vlen=0"}) {
+    EXPECT_THROW((void)parse_config_spec(bad), ContractViolation) << bad;
+  }
+  EXPECT_THROW((void)parse_shard_spec("4294967297/4294967298"),
+               ContractViolation);
+  EXPECT_EQ(parse_config_spec("araxl:8:glsu=4294967295").cfg.glsu_regs,
+            4294967295u);
+}
+
 // ---- runner: determinism across worker counts -------------------------------
 
 TEST(Runner, SweepReportsByteIdenticalFor1And8Workers) {

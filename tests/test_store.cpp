@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/contracts.hpp"
+#include "common/fmt.hpp"
 #include "driver/job.hpp"
 #include "driver/report.hpp"
 #include "driver/runner.hpp"
@@ -220,6 +221,91 @@ TEST(ResultStoreTest, SerializedLineRoundTripsExactly) {
   const StoredResult back = ResultStore::deserialize(line);
   EXPECT_EQ(ResultStore::serialize(back), line);
   EXPECT_TRUE(back.stats == r.stats);
+}
+
+// ---- every RunStats field through the store --------------------------------
+//
+// Table-driven over kRunStatsFields, so a serializer that drops a field (or
+// a field added without a table line) cannot pass.
+
+static_assert(aggregate_field_count<RunStats>() == kRunStatsFields.size(),
+              "RunStats grew or lost a member: describe it in kRunStatsFields "
+              "(sim/stats.hpp)");
+
+// Every counter slot of every field set to a distinct nonzero value.
+RunStats distinct_stats() {
+  RunStats s;
+  std::uint64_t next = 1000;
+  for (const StatField& f : kRunStatsFields) {
+    for (std::uint64_t& v : f.values(s)) v = next++;
+  }
+  return s;
+}
+
+// A serialized record with stats field `f` cut out and a valid checksum,
+// as an older (or damaged but re-checksummed) writer would have left it.
+std::string without_stat(const std::string& line, const StatField& f) {
+  const std::string key = "\"" + std::string(f.name) + "\":";
+  std::size_t a = line.find(key, line.find("\"stats\":{"));
+  std::size_t b = f.is_array() ? line.find(']', a) + 1 : line.find_first_of(",}", a);
+  if (line[b] == ',') {
+    ++b;  // drop the separator after the field ...
+  } else {
+    --a;  // ... or, for the last field, the one before it
+  }
+  std::string body = line.substr(0, a) + line.substr(b);
+  body = body.substr(0, body.rfind(",\"check\":\"")) + "}";
+  body.insert(body.size() - 1,
+              strprintf(",\"check\":\"%016llx\"",
+                        static_cast<unsigned long long>(hash64(body))));
+  return body;
+}
+
+TEST(ResultStoreTest, EveryStatsFieldRoundTripsFieldByField) {
+  StoredResult r = sample_record("exp", 64);
+  r.stats = distinct_stats();
+  const StoredResult back = ResultStore::deserialize(ResultStore::serialize(r));
+  for (const StatField& f : kRunStatsFields) {
+    for (std::size_t i = 0; i < f.size; ++i) {
+      EXPECT_EQ(f.values(back.stats)[i], f.values(r.stats)[i]) << f.csv_column(i);
+    }
+  }
+  EXPECT_TRUE(back.stats == r.stats);
+}
+
+TEST(ResultStoreTest, MissingStatsFieldIsZeroUnlessRequired) {
+  StoredResult r = sample_record("exp", 64);
+  r.stats = distinct_stats();
+  const std::string line = ResultStore::serialize(r);
+  const std::string path = temp_path("missing_field");
+  std::size_t required = 0;
+  {
+    std::ofstream file(path, std::ios::binary | std::ios::trunc);
+    for (const StatField& f : kRunStatsFields) {
+      const std::string cut = without_stat(line, f);
+      ASSERT_EQ(cut.find("\"" + std::string(f.name) + "\":"), std::string::npos);
+      file << cut << "\n";
+      if (f.has(kStoreRequired)) {
+        ++required;
+        EXPECT_THROW((void)ResultStore::deserialize(cut), ContractViolation)
+            << f.name;
+        continue;
+      }
+      const StoredResult back = ResultStore::deserialize(cut);
+      for (const StatField& g : kRunStatsFields) {
+        for (std::size_t i = 0; i < g.size; ++i) {
+          EXPECT_EQ(g.values(back.stats)[i],
+                    &g == &f ? 0 : g.values(r.stats)[i])
+              << f.name << " cut, reading " << g.csv_column(i);
+        }
+      }
+    }
+  }
+  EXPECT_GT(required, 0u);
+  const ResultStore store(path);
+  EXPECT_EQ(store.load_report().bad_lines, required);
+  EXPECT_EQ(store.load_report().lines, kRunStatsFields.size());
+  std::remove(path.c_str());
 }
 
 TEST(ResultStoreTest, LoadSkipsCorruptTruncatedAndTamperedLines) {

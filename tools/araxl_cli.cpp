@@ -131,9 +131,9 @@ int usage(std::FILE* out) {
       "  deterministic 1/N slice; `araxl merge` reassembles shard reports\n"
       "  byte-identically to the unsharded run. --cache-provenance reports\n"
       "  real cache_hit flags instead of the deterministic zeros;\n"
-      "  --provenance likewise reports the real wakeups_total /\n"
-      "  batched_iterations / batch_clamps / warmup_projected engine\n"
-      "  counters (and retry attempts).\n"
+      "  --provenance likewise reports the real engine counters\n"
+      "  (wakeups_total, batched_iterations, batch_rejects, ...), the\n"
+      "  stall taxonomy and retry attempts.\n"
       "fleet orchestration (serve / worker / merge --ledger):\n"
       "  `araxl serve` enqueues a sweep into a crash-safe append-only job\n"
       "  ledger (checksummed JSONL, same torn-tail discipline as the store);\n"
@@ -734,34 +734,26 @@ int cmd_stats(const Args& args) {
               return a.seed < b.seed;
             });
 
-  std::vector<std::string> header = {"config", "kernel",  "B/lane", "cycles",
-                                     "wakeups", "batched", "clamps", "warmproj"};
-  for (std::size_t i = 0; i < kNumBatchRejects; ++i) {
-    header.push_back(std::string(batch_reject_name(static_cast<BatchReject>(i))));
+  // --csv routes a machine-readable table with every kReportZeroed field
+  // to a file or stdout; the human-readable table shows only the
+  // provenance ones (a subset), omitting the stall taxonomy for width.
+  std::vector<std::string> header = {"config", "kernel", "B/lane", "cycles"};
+  std::string csv = "config,kernel,bytes_per_lane,seed,cycles";
+  for (const StatField& f : kRunStatsFields) {
+    if (!f.has(kReportZeroed)) continue;
+    for (std::size_t i = 0; i < f.size; ++i) {
+      csv += "," + f.csv_column(i);
+      if (f.has(kProvenance)) {
+        header.emplace_back(f.is_array() ? f.slot_name(i) : f.name);
+      }
+    }
   }
+  csv += "\n";
   TextTable table(header);
   for (std::size_t c = 2; c < header.size(); ++c) table.align_right(c);
 
-  // --csv routes a machine-readable table (with the stall taxonomy, which
-  // the human-readable table omits for width) to a file or stdout.
-  std::string csv =
-      "config,kernel,bytes_per_lane,seed,cycles,wakeups_total,"
-      "batched_iterations,batch_clamps,warmup_projected";
-  for (std::size_t i = 0; i < kNumBatchRejects; ++i) {
-    csv += ",reject_";
-    csv += batch_reject_name(static_cast<BatchReject>(i));
-  }
-  for (std::size_t i = 0; i < kNumStallReasons; ++i) {
-    csv += ",stall_";
-    csv += stall_reason_name(static_cast<StallReason>(i));
-  }
-  csv += ",fpu_busy_slots\n";
-
   std::size_t shown = 0;
-  std::uint64_t total_batched = 0;
-  std::uint64_t total_clamps = 0;
-  std::uint64_t total_warmproj = 0;
-  std::array<std::uint64_t, kNumBatchRejects> total_rejects{};
+  RunStats totals;
   for (const store::StoredResult& r : entries) {
     if (!kernel_filter.empty() &&
         std::find(kernel_filter.begin(), kernel_filter.end(), r.kernel) ==
@@ -780,51 +772,34 @@ int cmd_stats(const Args& args) {
       if (!hit) continue;
     }
     ++shown;
-    total_batched += r.stats.batched_iterations;
-    total_clamps += r.stats.batch_clamps;
-    total_warmproj += r.stats.warmup_projected;
     std::vector<std::string> row = {
         r.label.empty() ? r.config.substr(0, 24) : r.label, r.kernel,
-        std::to_string(r.bytes_per_lane), fmt_group(r.stats.cycles),
-        fmt_group(r.stats.wakeups_total),
-        fmt_group(r.stats.batched_iterations),
-        fmt_group(r.stats.batch_clamps),
-        fmt_group(r.stats.warmup_projected)};
-    for (std::size_t i = 0; i < kNumBatchRejects; ++i) {
-      total_rejects[i] += r.stats.batch_rejects[i];
-      row.push_back(fmt_group(r.stats.batch_rejects[i]));
-    }
-    table.add_row(row);
-
+        std::to_string(r.bytes_per_lane), fmt_group(r.stats.cycles)};
     csv += label + "," + r.kernel + "," + std::to_string(r.bytes_per_lane) +
-           "," + std::to_string(r.seed) + "," +
-           std::to_string(r.stats.cycles) + "," +
-           std::to_string(r.stats.wakeups_total) + "," +
-           std::to_string(r.stats.batched_iterations) + "," +
-           std::to_string(r.stats.batch_clamps) + "," +
-           std::to_string(r.stats.warmup_projected);
-    for (std::size_t i = 0; i < kNumBatchRejects; ++i) {
-      csv += "," + std::to_string(r.stats.batch_rejects[i]);
+           "," + std::to_string(r.seed) + "," + std::to_string(r.stats.cycles);
+    for (const StatField& f : kRunStatsFields) {
+      if (!f.has(kReportZeroed)) continue;
+      const std::span<const std::uint64_t> v = f.values(r.stats);
+      const std::span<std::uint64_t> total = f.values(totals);
+      for (std::size_t i = 0; i < v.size(); ++i) {
+        csv += "," + std::to_string(v[i]);
+        if (f.has(kProvenance)) {
+          total[i] += v[i];
+          row.push_back(fmt_group(v[i]));
+        }
+      }
     }
-    for (std::size_t i = 0; i < kNumStallReasons; ++i) {
-      csv += "," + std::to_string(r.stats.stall_cycles[i]);
-    }
-    csv += "," + std::to_string(r.stats.fpu_busy_slots) + "\n";
+    csv += "\n";
+    table.add_row(row);
   }
   if (shown > 1) {
     table.add_rule();
-    std::vector<std::string> totals = {"total",
-                                       "",
-                                       "",
-                                       "",
-                                       "",
-                                       fmt_group(total_batched),
-                                       fmt_group(total_clamps),
-                                       fmt_group(total_warmproj)};
-    for (std::size_t i = 0; i < kNumBatchRejects; ++i) {
-      totals.push_back(fmt_group(total_rejects[i]));
+    std::vector<std::string> row = {"total", "", "", ""};
+    for (const StatField& f : kRunStatsFields) {
+      if (!f.has(kProvenance)) continue;
+      for (const std::uint64_t v : f.values(totals)) row.push_back(fmt_group(v));
     }
-    table.add_row(totals);
+    table.add_row(row);
   }
   if (const std::string* csv_out = args.get("--csv")) {
     driver::write_report(*csv_out, csv);
