@@ -1,11 +1,11 @@
 #include "machine/functional.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <type_traits>
-#include <vector>
 
 #include "common/contracts.hpp"
 
@@ -15,8 +15,7 @@ namespace {
 
 // binary16 <-> binary64. All FP arithmetic in this engine runs in double;
 // like the SEW=32 float cast, the narrowing conversion rounds exactly once
-// on writeback (round-to-nearest-even), so bulk and per-element paths agree
-// bit for bit.
+// on writeback (round-to-nearest-even).
 double f16_to_f64(std::uint16_t h) {
   const int exp = (h >> 10) & 0x1F;
   const std::uint32_t frac = h & 0x3FF;
@@ -67,41 +66,61 @@ std::uint16_t f64_to_f16(double v) {
       sign + (static_cast<std::uint64_t>(he) << 10) + rounded - 1024);
 }
 
+/// An FP element's value; T is the SEW's raw element type.
+template <typename T>
+double fp_in(T bits) {
+  if constexpr (sizeof(T) == 8) {
+    return std::bit_cast<double>(bits);
+  } else if constexpr (sizeof(T) == 4) {
+    return static_cast<double>(std::bit_cast<float>(bits));
+  } else if constexpr (sizeof(T) == 2) {
+    return f16_to_f64(bits);
+  } else {
+    fail("FP operations require SEW of 16, 32 or 64");
+  }
+}
+
+/// The element encoding of `v`, rounded once to the element width.
+template <typename T>
+T fp_out(double v) {
+  if constexpr (sizeof(T) == 8) {
+    return std::bit_cast<T>(v);
+  } else if constexpr (sizeof(T) == 4) {
+    return std::bit_cast<T>(static_cast<float>(v));
+  } else if constexpr (sizeof(T) == 2) {
+    return f64_to_f16(v);
+  } else {
+    fail("FP operations require SEW of 16, 32 or 64");
+  }
+}
+
+/// `n` elements of type T from `vreg` on, as one element-order span.
+template <typename T>
+T* elems(Vrf& vrf, unsigned vreg, std::uint64_t n) {
+  return reinterpret_cast<T*>(vrf.span(vreg, n, sizeof(T)));
+}
+
+/// Calls f(i) for every active element i in [begin, end) (m == nullptr:
+/// all active).
+template <typename F>
+void for_active(const std::uint8_t* m, std::uint64_t begin, std::uint64_t end, F f) {
+  for (std::uint64_t i = begin; i < end; ++i) {
+    if (m == nullptr || m[i] != 0) f(i);
+  }
+}
+
+using W = std::uint64_t;
+
 }  // namespace
 
 FunctionalEngine::FunctionalEngine(const MachineConfig& cfg, Vrf& vrf,
                                    MainMemory& mem)
     : cfg_(cfg), vrf_(vrf), mem_(mem) {}
 
-double FunctionalEngine::read_f(unsigned reg, std::uint64_t i) const {
-  switch (vtype_.sew) {
-    case Sew::k64: return vrf_.read_f64(reg, i);
-    case Sew::k32: return static_cast<double>(vrf_.read_f32(reg, i));
-    case Sew::k16:
-      return f16_to_f64(static_cast<std::uint16_t>(vrf_.read_elem(reg, i, 2)));
-    default: fail("FP operations require SEW of 16, 32 or 64");
-  }
-}
-
-void FunctionalEngine::write_f(unsigned reg, std::uint64_t i, double v) {
-  switch (vtype_.sew) {
-    case Sew::k64: vrf_.write_f64(reg, i, v); return;
-    case Sew::k32: vrf_.write_f32(reg, i, static_cast<float>(v)); return;
-    case Sew::k16: vrf_.write_elem(reg, i, 2, f64_to_f16(v)); return;
-    default: fail("FP operations require SEW of 16, 32 or 64");
-  }
-}
-
-std::uint64_t FunctionalEngine::read_x(unsigned reg, std::uint64_t i) const {
-  return vrf_.read_elem(reg, i, ew_bytes());
-}
-
-void FunctionalEngine::write_x(unsigned reg, std::uint64_t i, std::uint64_t v) {
-  vrf_.write_elem(reg, i, ew_bytes(), v);
-}
-
-bool FunctionalEngine::active(const VInstr& in, std::uint64_t i) const {
-  return !in.masked || vrf_.mask_bit(0, i);
+const std::uint8_t* FunctionalEngine::unpack_v0() {
+  v0_.resize(vl_);
+  for (std::uint64_t i = 0; i < vl_; ++i) v0_[i] = vrf_.mask_bit(0, i) ? 1 : 0;
+  return v0_.data();
 }
 
 void FunctionalEngine::exec(const VInstr& in) {
@@ -110,846 +129,380 @@ void FunctionalEngine::exec(const VInstr& in) {
     vl_ = vsetvl_result(cfg_.effective_vlen(), in.avl, in.vtype);
     return;
   }
-  const OpSpec& spec = op_spec(in.op);
-  if (in.op == Op::kVfmvFS) {
-    // Reads element 0 regardless of vl.
-    scalar_acc_ = read_f(in.vs2, 0);
+  switch (sew_bytes(vtype_.sew)) {
+    case 1: exec_sew<std::uint8_t>(in); break;
+    case 2: exec_sew<std::uint16_t>(in); break;
+    case 4: exec_sew<std::uint32_t>(in); break;
+    default: exec_sew<std::uint64_t>(in); break;
+  }
+}
+
+template <typename T>
+void FunctionalEngine::exec_sew(const VInstr& in) {
+  if (in.op == Op::kVfmvFS) {  // reads element 0 regardless of vl
+    scalar_acc_ = fp_in(static_cast<T>(vrf_.read_elem(in.vs2, 0, sizeof(T))));
     return;
   }
+  // Merges select through v0 on every element, masked or not.
+  const bool merge = in.op == Op::kVmergeVVM || in.op == Op::kVfmergeVFM;
+  const std::uint8_t* m = in.masked || merge ? unpack_v0() : nullptr;
   if (in.op == Op::kVcpopM || in.op == Op::kVfirstM) {
-    exec_mask_population(in);  // handles vl == 0 (count 0 / index -1)
+    exec_mask_population<T>(in, m);  // vl == 0 yields count 0 / index -1
     return;
   }
   if (vl_ == 0) return;
-
-  if (spec.reads_mem || spec.writes_mem) {
-    exec_memory(in);
-  } else if (spec.widens) {
-    exec_widening(in);
-  } else if (spec.is_gather) {
-    exec_gather(in);
-  } else if (in.op == Op::kViotaM || in.op == Op::kVmsbfM ||
-             in.op == Op::kVmsifM || in.op == Op::kVmsofM) {
-    exec_mask_population(in);
-  } else if (spec.is_reduction) {
-    exec_reduction(in);
-  } else if (spec.is_slide) {
-    exec_slide(in);
-  } else if (spec.writes_mask || spec.unit == Unit::kMasku) {
-    exec_mask(in);
-  } else if (spec.unit == Unit::kFpu) {
-    exec_fp(in);
-  } else {
-    exec_int(in);
-  }
-}
-
-void FunctionalEngine::exec_widening(const VInstr& in) {
-  check(vtype_.sew == Sew::k32, "widening requires SEW=32");
-  for (std::uint64_t i = 0; i < vl_; ++i) {
-    if (!active(in, i)) continue;
-    const double a = static_cast<double>(vrf_.read_f32(in.vs2, i));
-    const double b = static_cast<double>(vrf_.read_f32(in.vs1, i));
-    double result = 0.0;
-    switch (in.op) {
-      case Op::kVfwaddVV: result = a + b; break;
-      case Op::kVfwsubVV: result = a - b; break;
-      case Op::kVfwmulVV: result = a * b; break;
-      case Op::kVfwmaccVV:
-        result = std::fma(b, a, vrf_.read_f64(in.vd, i));
-        break;
-      default: fail("unhandled widening op");
-    }
-    vrf_.write_f64(in.vd, i, result);
-  }
-}
-
-void FunctionalEngine::exec_gather(const VInstr& in) {
-  const unsigned ew = ew_bytes();
-  const std::uint64_t vlmax_now = vlmax(cfg_.effective_vlen(), vtype_);
-  if (in.op == Op::kVrgatherVV) {
-    for (std::uint64_t i = 0; i < vl_; ++i) {
-      if (!active(in, i)) continue;
-      const std::uint64_t idx = vrf_.read_elem(in.vs1, i, ew);
-      vrf_.write_elem(in.vd, i, ew,
-                      idx < vlmax_now ? vrf_.read_elem(in.vs2, idx, ew) : 0);
+  if (in.op == Op::kVfmvSF) {
+    if (m == nullptr || m[0] != 0) {
+      vrf_.write_elem(in.vd, 0, sizeof(T), fp_out<T>(scalar_of(in)));
     }
     return;
   }
-  // vcompress.vm: pack active elements; tail of vd is left undisturbed.
-  std::uint64_t k = 0;
-  for (std::uint64_t i = 0; i < vl_; ++i) {
-    if (!vrf_.mask_bit(in.vs1, i)) continue;
-    vrf_.write_elem(in.vd, k++, ew, vrf_.read_elem(in.vs2, i, ew));
+  const OpSpec& spec = op_spec(in.op);
+  if (spec.reads_mem || spec.writes_mem) {
+    exec_memory<T>(in, m);
+  } else if (spec.widens) {
+    exec_widening(in, m);
+  } else if (spec.is_gather) {
+    exec_gather<T>(in, m);
+  } else if (spec.reads_mask_src) {  // viota, vmsbf, vmsif, vmsof
+    exec_mask_population<T>(in, m);
+  } else if (spec.is_reduction) {
+    exec_reduction<T>(in, m);
+  } else if (spec.is_slide) {
+    exec_slide<T>(in, m);
+  } else if (spec.writes_mask || spec.unit == Unit::kMasku) {
+    exec_mask<T>(in, m);
+  } else {
+    exec_elementwise<T>(in, m);
   }
 }
 
-void FunctionalEngine::exec_mask_population(const VInstr& in) {
+template <typename T>
+void FunctionalEngine::exec_memory(const VInstr& in, const std::uint8_t* m) {
+  constexpr W ew = sizeof(T);
+  const W n = vl_;
+  const bool load = op_spec(in.op).reads_mem;
+  const bool strided = in.op == Op::kVlse || in.op == Op::kVsse;
+  const auto stride = static_cast<W>(strided ? in.stride : std::int64_t{ew});
+  const T* index = in.op == Op::kVluxei || in.op == Op::kVsuxei
+                       ? elems<T>(vrf_, in.vs2, n)
+                       : nullptr;
+  T* v = elems<T>(vrf_, in.vd, n);
+  // Addresses wrap like the hardware's 64-bit adder.
+  const auto addr = [&](W i) {
+    return index != nullptr ? in.addr + index[i] : in.addr + i * stride;
+  };
+
+  // Validation: the first active element whose access leaves memory. When
+  // the hull of a (strided) address walk fits, no element can.
+  W valid = n;
+  bool fits = false;
+  if (index == nullptr) {
+    const __int128 first = in.addr;
+    const __int128 last =
+        first + static_cast<__int128>(n - 1) * static_cast<std::int64_t>(stride);
+    fits = std::min(first, last) >= 0 &&
+           std::max(first, last) + ew <= static_cast<__int128>(mem_.size());
+  }
+  if (!fits) {
+    for (W i = 0; i < n; ++i) {
+      if ((m == nullptr || m[i] != 0) && !mem_.in_bounds(addr(i), ew)) {
+        valid = i;
+        break;
+      }
+    }
+  }
+
+  // Elements before the fault are applied, in ascending order, so that an
+  // overlapping store (stride 0 or |stride| < ew) ends with the last one.
+  std::uint8_t* ram = mem_.raw(0, mem_.size());
+  if (m == nullptr && index == nullptr && stride == ew) {
+    if (valid > 0) {
+      std::uint8_t* p = ram + in.addr;
+      load ? std::memcpy(v, p, valid * ew) : std::memcpy(p, v, valid * ew);
+    }
+  } else {
+    for_active(m, 0, valid, [&](W i) {
+      std::uint8_t* p = ram + addr(i);
+      load ? std::memcpy(v + i, p, ew) : std::memcpy(p, v + i, ew);
+    });
+  }
+  if (valid < n) {
+    static_cast<void>(mem_.raw(addr(valid), ew));  // raises the bounds error
+  }
+}
+
+template <typename T>
+void FunctionalEngine::exec_elementwise(const VInstr& in, const std::uint8_t* m) {
+  using S = std::make_signed_t<T>;
+  const OpSpec& spec = op_spec(in.op);
+  const W n = vl_;
+  T* d = elems<T>(vrf_, in.vd, n);
+  const T* a = spec.reads_vs2 ? elems<T>(vrf_, in.vs2, n) : d;
+  const T* b = spec.reads_vs1 ? elems<T>(vrf_, in.vs1, n) : d;
+  // ProgramBuilder aligns same-width groups to LMUL, so a source group and
+  // the destination coincide or are disjoint: the in-place loop is exact.
+  debug_check((a == d || a + n <= d || d + n <= a) &&
+                  (b == d || b + n <= d || d + n <= b),
+              "source group partially overlaps the destination");
+  const double fs = scalar_of(in);
+  const auto xs = static_cast<T>(in.xs);
+  const auto sh = static_cast<unsigned>(static_cast<W>(in.xs) % (8 * sizeof(T)));
+
+  // vd[i] = f(vs2[i], vs1[i], vd[i], i) for each element `active` selects.
+  const auto run = [&](const std::uint8_t* active, auto f) {
+    for_active(active, 0, n, [=](W i) { d[i] = f(a[i], b[i], d[i], i); });
+  };
+  // FP arithmetic on decoded operands, rounded once on the write.
+  const auto fp = [&](auto f) {
+    run(m, [f](T x, T y, T z, W) {
+      return fp_out<T>(f(fp_in(x), fp_in(y), fp_in(z)));
+    });
+  };
+  switch (in.op) {
+    case Op::kVfaddVV: return fp([](double x, double y, double) { return x + y; });
+    case Op::kVfaddVF: return fp([fs](double x, double, double) { return x + fs; });
+    case Op::kVfsubVV: return fp([](double x, double y, double) { return x - y; });
+    case Op::kVfsubVF: return fp([fs](double x, double, double) { return x - fs; });
+    case Op::kVfrsubVF: return fp([fs](double x, double, double) { return fs - x; });
+    case Op::kVfmulVV: return fp([](double x, double y, double) { return x * y; });
+    case Op::kVfmulVF: return fp([fs](double x, double, double) { return x * fs; });
+    case Op::kVfdivVV: return fp([](double x, double y, double) { return x / y; });
+    case Op::kVfdivVF: return fp([fs](double x, double, double) { return x / fs; });
+    case Op::kVfrdivVF: return fp([fs](double x, double, double) { return fs / x; });
+    case Op::kVfmaccVV:
+      return fp([](double x, double y, double z) { return std::fma(y, x, z); });
+    case Op::kVfmaccVF:
+      return fp([fs](double x, double, double z) { return std::fma(fs, x, z); });
+    case Op::kVfnmsacVV:
+      return fp([](double x, double y, double z) { return std::fma(-y, x, z); });
+    case Op::kVfnmsacVF:
+      return fp([fs](double x, double, double z) { return std::fma(-fs, x, z); });
+    case Op::kVfmaddVF:
+      return fp([fs](double x, double, double z) { return std::fma(z, fs, x); });
+    case Op::kVfmaddVV:
+      return fp([](double x, double y, double z) { return std::fma(z, y, x); });
+    case Op::kVfmsacVF:
+      return fp([fs](double x, double, double z) { return std::fma(fs, x, -z); });
+    case Op::kVfminVV:
+      return fp([](double x, double y, double) { return std::fmin(x, y); });
+    case Op::kVfminVF:
+      return fp([fs](double x, double, double) { return std::fmin(x, fs); });
+    case Op::kVfmaxVV:
+      return fp([](double x, double y, double) { return std::fmax(x, y); });
+    case Op::kVfmaxVF:
+      return fp([fs](double x, double, double) { return std::fmax(x, fs); });
+    case Op::kVfsgnjVV:
+      return fp([](double x, double y, double) { return std::copysign(x, y); });
+    case Op::kVfsgnjnVV:
+      return fp([](double x, double y, double) { return std::copysign(x, -y); });
+    case Op::kVfsqrtV: return fp([](double x, double, double) { return std::sqrt(x); });
+    case Op::kVfcvtXF:  // round to nearest even, integer result
+      return run(m, [](T x, T, T, W) {
+        return static_cast<T>(
+            static_cast<W>(static_cast<std::int64_t>(std::nearbyint(fp_in(x)))));
+      });
+    case Op::kVfcvtFX:  // the element is a signed SEW-bit integer
+      return run(m, [](T x, T, T, W) { return fp_out<T>(static_cast<double>(S(x))); });
+    case Op::kVfmvVF: return run(m, [fs](T, T, T, W) { return fp_out<T>(fs); });
+    case Op::kVfmergeVFM:
+      return run(nullptr, [m, fs](T x, T, T, W i) {
+        return m[i] != 0 ? fp_out<T>(fs) : x;
+      });
+    case Op::kVmergeVVM:
+      return run(nullptr, [m](T x, T y, T, W i) { return m[i] != 0 ? y : x; });
+    case Op::kVaddVV: return run(m, [](T x, T y, T, W) { return T(W{x} + y); });
+    case Op::kVaddVX: return run(m, [xs](T x, T, T, W) { return T(W{x} + xs); });
+    case Op::kVsubVV: return run(m, [](T x, T y, T, W) { return T(W{x} - y); });
+    case Op::kVsllVX: return run(m, [sh](T x, T, T, W) { return T(W{x} << sh); });
+    case Op::kVsrlVX: return run(m, [sh](T x, T, T, W) { return T(x >> sh); });
+    case Op::kVandVX: return run(m, [xs](T x, T, T, W) { return T(x & xs); });
+    case Op::kVmvVX: return run(m, [xs](T, T, T, W) { return xs; });
+    case Op::kVmvVV: return run(m, [](T, T y, T, W) { return y; });
+    case Op::kVidV: return run(m, [](T, T, T, W i) { return T(i); });
+    case Op::kVmulVV: return run(m, [](T x, T y, T, W) { return T(W{x} * y); });
+    case Op::kVmulVX: return run(m, [xs](T x, T, T, W) { return T(W{x} * xs); });
+    case Op::kVmaccVV:
+      return run(m, [](T x, T y, T z, W) { return T(z + W{y} * x); });
+    case Op::kVrsubVX: return run(m, [xs](T x, T, T, W) { return T(W{xs} - x); });
+    case Op::kVmaxVV:
+      return run(m, [](T x, T y, T, W) { return T(std::max(S(x), S(y))); });
+    case Op::kVminVV:
+      return run(m, [](T x, T y, T, W) { return T(std::min(S(x), S(y))); });
+    default: fail("unhandled element-wise op");
+  }
+}
+
+void FunctionalEngine::exec_widening(const VInstr& in, const std::uint8_t* m) {
+  check(vtype_.sew == Sew::k32, "widening requires SEW=32");
+  const W n = vl_;
+  const unsigned g = vtype_.lmul.group_regs();
+  // ProgramBuilder keeps the 2*LMUL destination group disjoint from both
+  // sources, so the two widths' spans never share a register.
+  debug_check((in.vd + 2 * g <= in.vs2 || in.vs2 + g <= in.vd) &&
+                  (in.vd + 2 * g <= in.vs1 || in.vs1 + g <= in.vd),
+              "widening destination overlaps a source group");
+  W* d = elems<W>(vrf_, in.vd, n);
+  const auto* a = elems<std::uint32_t>(vrf_, in.vs2, n);
+  const auto* b = elems<std::uint32_t>(vrf_, in.vs1, n);
+  const auto run = [&](auto f) {
+    for_active(m, 0, n, [&](W i) {
+      d[i] = fp_out<W>(f(fp_in(a[i]), fp_in(b[i]), fp_in(d[i])));
+    });
+  };
+  switch (in.op) {
+    case Op::kVfwaddVV: return run([](double x, double y, double) { return x + y; });
+    case Op::kVfwsubVV: return run([](double x, double y, double) { return x - y; });
+    case Op::kVfwmulVV: return run([](double x, double y, double) { return x * y; });
+    case Op::kVfwmaccVV:
+      return run([](double x, double y, double z) { return std::fma(y, x, z); });
+    default: fail("unhandled widening op");
+  }
+}
+
+template <typename T>
+void FunctionalEngine::exec_reduction(const VInstr& in, const std::uint8_t* m) {
+  double acc = fp_in(static_cast<T>(vrf_.read_elem(in.vs1, 0, sizeof(T))));
+  const T* v = elems<T>(vrf_, in.vs2, vl_);
+  const auto reduce = [&](auto f) {
+    for_active(m, 0, vl_, [&](W i) { acc = f(acc, fp_in(v[i])); });
+  };
+  switch (in.op) {
+    case Op::kVfredusum: reduce([](double s, double x) { return s + x; }); break;
+    case Op::kVfredmax: reduce([](double s, double x) { return std::fmax(s, x); }); break;
+    case Op::kVfredmin: reduce([](double s, double x) { return std::fmin(s, x); }); break;
+    default: fail("unhandled reduction");
+  }
+  vrf_.write_elem(in.vd, 0, sizeof(T), fp_out<T>(acc));
+}
+
+template <typename T>
+void FunctionalEngine::exec_slide(const VInstr& in, const std::uint8_t* m) {
+  const W n = vl_;
+  const W vlmax_now = vlmax(cfg_.effective_vlen(), vtype_);
+  const auto k = static_cast<W>(in.xs);
+  T* d = elems<T>(vrf_, in.vd, n);
+  const T* s = elems<T>(vrf_, in.vs2, in.op == Op::kVslidedownVX ? vlmax_now : n);
+  // Slides move raw element bits. ProgramBuilder keeps an up-slide's
+  // destination disjoint from its source, and a down-slide reads ahead of
+  // its writes, so ascending order is exact in place.
+  debug_check((in.op != Op::kVfslide1up && in.op != Op::kVslideupVX) ||
+                  d + n <= s || s + n <= d,
+              "up-slide destination overlaps its source");
+  switch (in.op) {
+    case Op::kVfslide1up:  // element 0 takes the scalar
+      if (m == nullptr || m[0] != 0) d[0] = fp_out<T>(scalar_of(in));
+      return for_active(m, 1, n, [&](W i) { d[i] = s[i - 1]; });
+    case Op::kVfslide1down:  // element vl-1 takes the scalar
+      for_active(m, 0, n - 1, [&](W i) { d[i] = s[i + 1]; });
+      if (m == nullptr || m[n - 1] != 0) d[n - 1] = fp_out<T>(scalar_of(in));
+      return;
+    case Op::kVslideupVX:  // elements below k stay undisturbed
+      return for_active(m, std::min(k, n), n, [&](W i) { d[i] = s[i - k]; });
+    case Op::kVslidedownVX:  // zero past VLMAX
+      return for_active(m, 0, n, [&](W i) { d[i] = i + k < vlmax_now ? s[i + k] : 0; });
+    default: fail("unhandled slide");
+  }
+}
+
+template <typename T>
+void FunctionalEngine::exec_mask(const VInstr& in, const std::uint8_t* m) {
+  const auto set = [&](auto bit) {
+    for_active(m, 0, vl_, [&](W i) { vrf_.set_mask_bit(in.vd, i, bit(i)); });
+  };
+  const auto mm = [&](auto f) {
+    set([&](W i) { return f(vrf_.mask_bit(in.vs2, i), vrf_.mask_bit(in.vs1, i)); });
+  };
+  switch (in.op) {
+    case Op::kVmandMM: return mm([](bool x, bool y) { return x && y; });
+    case Op::kVmorMM: return mm([](bool x, bool y) { return x || y; });
+    case Op::kVmxorMM: return mm([](bool x, bool y) { return x != y; });
+    case Op::kVmandnMM: return mm([](bool x, bool y) { return x && !y; });
+    default: break;
+  }
+  const T* a = elems<T>(vrf_, in.vs2, vl_);
+  const T* b = op_spec(in.op).reads_vs1 ? elems<T>(vrf_, in.vs1, vl_) : a;
+  const double fs = scalar_of(in);
+  const auto cmp = [&](auto f) {
+    set([&](W i) { return f(fp_in(a[i]), fp_in(b[i])); });
+  };
+  switch (in.op) {
+    case Op::kVmfeqVV: return cmp([](double x, double y) { return x == y; });
+    case Op::kVmfltVV: return cmp([](double x, double y) { return x < y; });
+    case Op::kVmfleVV: return cmp([](double x, double y) { return x <= y; });
+    case Op::kVmfltVF: return cmp([fs](double x, double) { return x < fs; });
+    case Op::kVmfleVF: return cmp([fs](double x, double) { return x <= fs; });
+    case Op::kVmfgtVF: return cmp([fs](double x, double) { return x > fs; });
+    case Op::kVmfgeVF: return cmp([fs](double x, double) { return x >= fs; });
+    default: fail("unhandled mask op");
+  }
+}
+
+template <typename T>
+void FunctionalEngine::exec_gather(const VInstr& in, const std::uint8_t* m) {
+  const W n = vl_;
+  T* d = elems<T>(vrf_, in.vd, n);
+  if (in.op == Op::kVrgatherVV) {
+    const W vlmax_now = vlmax(cfg_.effective_vlen(), vtype_);
+    const T* s = elems<T>(vrf_, in.vs2, vlmax_now);
+    const T* idx = elems<T>(vrf_, in.vs1, n);
+    return for_active(m, 0, n, [&](W i) { d[i] = idx[i] < vlmax_now ? s[idx[i]] : 0; });
+  }
+  // vcompress.vm: pack the elements mask vs1 selects; vd's tail is
+  // undisturbed.
+  const T* s = elems<T>(vrf_, in.vs2, n);
+  W k = 0;
+  for (W i = 0; i < n; ++i) {
+    if (vrf_.mask_bit(in.vs1, i)) d[k++] = s[i];
+  }
+}
+
+template <typename T>
+void FunctionalEngine::exec_mask_population(const VInstr& in,
+                                            const std::uint8_t* m) {
+  const W n = vl_;
+  const auto bit = [&](W i) { return vrf_.mask_bit(in.vs2, i); };
   switch (in.op) {
     case Op::kVcpopM: {
       std::int64_t count = 0;
-      for (std::uint64_t i = 0; i < vl_; ++i) {
-        if (vrf_.mask_bit(in.vs2, i) && active(in, i)) ++count;
-      }
+      for_active(m, 0, n, [&](W i) { count += bit(i) ? 1 : 0; });
       scalar_iacc_ = count;
       scalar_acc_ = static_cast<double>(count);
       return;
     }
     case Op::kVfirstM: {
       std::int64_t first = -1;
-      for (std::uint64_t i = 0; i < vl_; ++i) {
-        if (vrf_.mask_bit(in.vs2, i) && active(in, i)) {
-          first = static_cast<std::int64_t>(i);
-          break;
-        }
+      for (W i = 0; i < n && first < 0; ++i) {
+        if ((m == nullptr || m[i] != 0) && bit(i)) first = static_cast<std::int64_t>(i);
       }
       scalar_iacc_ = first;
       scalar_acc_ = static_cast<double>(first);
       return;
     }
     case Op::kViotaM: {
-      std::uint64_t count = 0;
-      for (std::uint64_t i = 0; i < vl_; ++i) {
-        if (active(in, i)) write_x(in.vd, i, count);
-        if (vrf_.mask_bit(in.vs2, i)) ++count;
+      T* d = elems<T>(vrf_, in.vd, n);
+      W count = 0;
+      for (W i = 0; i < n; ++i) {
+        if (m == nullptr || m[i] != 0) d[i] = static_cast<T>(count);
+        if (bit(i)) ++count;
       }
       return;
     }
     case Op::kVmsbfM:
     case Op::kVmsifM:
     case Op::kVmsofM: {
+      // msbf/msif set the bits before the first set source bit, msif/msof
+      // the first one itself; every later bit is cleared.
       bool seen = false;
-      for (std::uint64_t i = 0; i < vl_; ++i) {
-        const bool bit = vrf_.mask_bit(in.vs2, i);
-        bool out = false;
-        if (!seen) {
-          if (bit) {
-            seen = true;
-            out = in.op != Op::kVmsbfM;  // msif/msof include the first
-          } else {
-            out = in.op != Op::kVmsofM;  // msbf/msif set before the first
-          }
-        }
-        if (active(in, i)) vrf_.set_mask_bit(in.vd, i, out);
+      for (W i = 0; i < n; ++i) {
+        const bool b = bit(i);
+        const bool out = !seen && (b ? in.op != Op::kVmsbfM : in.op != Op::kVmsofM);
+        seen = seen || b;
+        if (m == nullptr || m[i] != 0) vrf_.set_mask_bit(in.vd, i, out);
       }
       return;
     }
     default: fail("unhandled mask-population op");
-  }
-}
-
-void FunctionalEngine::exec_memory(const VInstr& in) {
-  const unsigned ew = ew_bytes();
-  // Unit-stride, unmasked accesses (the overwhelmingly common case) move
-  // as one bounds-checked stream between memory and the mapped VRF.
-  if ((in.op == Op::kVle || in.op == Op::kVse) && !in.masked) {
-    const std::uint64_t total = vl_ * ew;
-    if (in.op == Op::kVle) {
-      vrf_.write_stream(in.vd, vl_, ew, mem_.raw(in.addr, total));
-    } else {
-      vrf_.read_stream(in.vd, vl_, ew, mem_.raw(in.addr, total));
-    }
-    return;
-  }
-  if ((in.op == Op::kVlse || in.op == Op::kVsse) && !in.masked &&
-      exec_memory_bulk_strided(in)) {
-    return;
-  }
-  if ((in.op == Op::kVle || in.op == Op::kVse) && in.masked &&
-      exec_memory_bulk_masked_unit(in)) {
-    return;
-  }
-  const auto elem_addr = [&](std::uint64_t i) -> std::uint64_t {
-    switch (in.op) {
-      case Op::kVle:
-      case Op::kVse: return in.addr + i * ew;
-      case Op::kVlse:
-      case Op::kVsse:
-        return static_cast<std::uint64_t>(static_cast<std::int64_t>(in.addr) +
-                                          static_cast<std::int64_t>(i) * in.stride);
-      case Op::kVluxei:
-      case Op::kVsuxei: return in.addr + vrf_.read_elem(in.vs2, i, ew);
-      default: fail("not a memory op");
-    }
-  };
-
-  const bool is_load = op_spec(in.op).reads_mem;
-  for (std::uint64_t i = 0; i < vl_; ++i) {
-    if (!active(in, i)) continue;
-    const std::uint64_t a = elem_addr(i);
-    if (is_load) {
-      std::uint64_t bits = 0;
-      switch (ew) {
-        case 1: bits = mem_.load<std::uint8_t>(a); break;
-        case 2: bits = mem_.load<std::uint16_t>(a); break;
-        case 4: bits = mem_.load<std::uint32_t>(a); break;
-        case 8: bits = mem_.load<std::uint64_t>(a); break;
-        default: fail("bad element width");
-      }
-      vrf_.write_elem(in.vd, i, ew, bits);
-    } else {
-      const std::uint64_t bits = vrf_.read_elem(in.vd, i, ew);
-      switch (ew) {
-        case 1: mem_.store<std::uint8_t>(a, static_cast<std::uint8_t>(bits)); break;
-        case 2: mem_.store<std::uint16_t>(a, static_cast<std::uint16_t>(bits)); break;
-        case 4: mem_.store<std::uint32_t>(a, static_cast<std::uint32_t>(bits)); break;
-        case 8: mem_.store<std::uint64_t>(a, bits); break;
-        default: fail("bad element width");
-      }
-    }
-  }
-}
-
-bool FunctionalEngine::exec_memory_bulk_strided(const VInstr& in) {
-  const unsigned ew = ew_bytes();
-  const std::int64_t stride = in.stride;
-  // Address math must agree with the per-element path (signed stride on an
-  // unsigned base). Widen to 128 bits so huge strides cannot wrap; any
-  // transfer that leaves [0, mem) falls back to the per-element loop,
-  // which reports the out-of-bounds element exactly as before.
-  if (in.addr > mem_.size()) return false;
-  const __int128 first_a = static_cast<__int128>(in.addr);
-  const __int128 last_a =
-      first_a + static_cast<__int128>(vl_ - 1) * static_cast<__int128>(stride);
-  const __int128 lo = stride < 0 ? last_a : first_a;
-  const __int128 hi = (stride < 0 ? first_a : last_a) + ew;
-  if (lo < 0 || hi > static_cast<__int128>(mem_.size())) return false;
-
-  const std::uint64_t umin = static_cast<std::uint64_t>(lo);
-  const std::uint64_t span = static_cast<std::uint64_t>(hi) - umin;
-  const bool is_load = in.op == Op::kVlse;
-  buf_mem_.resize(vl_ * ew);
-  std::uint8_t* buf = buf_mem_.data();
-
-  // Fixed-width copies so the compiler lowers each to a plain load/store.
-  const auto stream = [&]<unsigned kW>() {
-    if (is_load) {
-      const std::uint8_t* first = mem_.raw(umin, span) + (in.addr - umin);
-      for (std::uint64_t i = 0; i < vl_; ++i) {
-        std::memcpy(buf + i * kW, first + static_cast<std::int64_t>(i) * stride,
-                    kW);
-      }
-      vrf_.write_stream(in.vd, vl_, kW, buf);
-    } else {
-      // Ascending element order keeps the architectural overlap semantics
-      // (stride 0 or |stride| < ew: the later element wins).
-      vrf_.read_stream(in.vd, vl_, kW, buf);
-      std::uint8_t* first = mem_.raw(umin, span) + (in.addr - umin);
-      for (std::uint64_t i = 0; i < vl_; ++i) {
-        std::memcpy(first + static_cast<std::int64_t>(i) * stride, buf + i * kW,
-                    kW);
-      }
-    }
-  };
-  switch (ew) {
-    case 1: stream.template operator()<1>(); break;
-    case 2: stream.template operator()<2>(); break;
-    case 4: stream.template operator()<4>(); break;
-    case 8: stream.template operator()<8>(); break;
-    default: return false;
-  }
-  return true;
-}
-
-bool FunctionalEngine::exec_memory_bulk_masked_unit(const VInstr& in) {
-  const unsigned ew = ew_bytes();
-  const std::uint64_t total = vl_ * ew;
-  // One bounds check for the whole range. Any out-of-bounds byte falls back
-  // to the per-element loop, which reports the exact faulting active element
-  // (a range whose out-of-bounds elements are all inactive also falls back —
-  // that only costs speed, never correctness).
-  if (in.addr > mem_.size() || total > mem_.size() - in.addr) return false;
-  const bool is_load = in.op == Op::kVle;
-  buf_mem_.resize(total);
-  std::uint8_t* buf = buf_mem_.data();
-  std::uint8_t* ram = mem_.raw(in.addr, total);
-
-  // Fixed-width copies so the compiler lowers each to a plain load/store.
-  const auto stream = [&]<unsigned kW>() {
-    // Both directions route through the current vd stream: a masked load
-    // merges into vd (inactive elements keep their old value), and a masked
-    // store sources vd and touches only the active elements of memory.
-    vrf_.read_stream(in.vd, vl_, kW, buf);
-    if (is_load) {
-      for (std::uint64_t i = 0; i < vl_; ++i) {
-        if (vrf_.mask_bit(0, i)) std::memcpy(buf + i * kW, ram + i * kW, kW);
-      }
-      vrf_.write_stream(in.vd, vl_, kW, buf);
-    } else {
-      for (std::uint64_t i = 0; i < vl_; ++i) {
-        if (vrf_.mask_bit(0, i)) std::memcpy(ram + i * kW, buf + i * kW, kW);
-      }
-    }
-  };
-  switch (ew) {
-    case 1: stream.template operator()<1>(); break;
-    case 2: stream.template operator()<2>(); break;
-    case 4: stream.template operator()<4>(); break;
-    case 8: stream.template operator()<8>(); break;
-    default: return false;
-  }
-  return true;
-}
-
-bool FunctionalEngine::exec_fp_bulk(const VInstr& in) {
-  if (in.masked) return false;
-  const unsigned ew = ew_bytes();
-  if (ew != 2 && ew != 4 && ew != 8) return false;
-  const OpSpec& spec = op_spec(in.op);
-  const std::uint64_t n = vl_;
-  const double fs = scalar_of(in);
-  // The opcode kernel, shared by both data paths below. Returns false for
-  // ops this bulk path doesn't cover (conversions etc. take the
-  // per-element path); probing with cnt == 0 answers "covered?" without
-  // touching any data.
-  const auto compute = [&](double* d, const double* a, const double* b,
-                           std::uint64_t cnt) -> bool {
-    switch (in.op) {
-      case Op::kVfaddVV: for (std::uint64_t i = 0; i < cnt; ++i) d[i] = a[i] + b[i]; break;
-      case Op::kVfaddVF: for (std::uint64_t i = 0; i < cnt; ++i) d[i] = a[i] + fs; break;
-      case Op::kVfsubVV: for (std::uint64_t i = 0; i < cnt; ++i) d[i] = a[i] - b[i]; break;
-      case Op::kVfsubVF: for (std::uint64_t i = 0; i < cnt; ++i) d[i] = a[i] - fs; break;
-      case Op::kVfrsubVF: for (std::uint64_t i = 0; i < cnt; ++i) d[i] = fs - a[i]; break;
-      case Op::kVfmulVV: for (std::uint64_t i = 0; i < cnt; ++i) d[i] = a[i] * b[i]; break;
-      case Op::kVfmulVF: for (std::uint64_t i = 0; i < cnt; ++i) d[i] = a[i] * fs; break;
-      case Op::kVfdivVV: for (std::uint64_t i = 0; i < cnt; ++i) d[i] = a[i] / b[i]; break;
-      case Op::kVfdivVF: for (std::uint64_t i = 0; i < cnt; ++i) d[i] = a[i] / fs; break;
-      case Op::kVfrdivVF: for (std::uint64_t i = 0; i < cnt; ++i) d[i] = fs / a[i]; break;
-      case Op::kVfmaccVV:
-        for (std::uint64_t i = 0; i < cnt; ++i) d[i] = std::fma(b[i], a[i], d[i]);
-        break;
-      case Op::kVfmaccVF:
-        for (std::uint64_t i = 0; i < cnt; ++i) d[i] = std::fma(fs, a[i], d[i]);
-        break;
-      case Op::kVfnmsacVV:
-        for (std::uint64_t i = 0; i < cnt; ++i) d[i] = std::fma(-b[i], a[i], d[i]);
-        break;
-      case Op::kVfnmsacVF:
-        for (std::uint64_t i = 0; i < cnt; ++i) d[i] = std::fma(-fs, a[i], d[i]);
-        break;
-      case Op::kVfmaddVF:
-        for (std::uint64_t i = 0; i < cnt; ++i) d[i] = std::fma(d[i], fs, a[i]);
-        break;
-      case Op::kVfmaddVV:
-        for (std::uint64_t i = 0; i < cnt; ++i) d[i] = std::fma(d[i], b[i], a[i]);
-        break;
-      case Op::kVfmsacVF:
-        for (std::uint64_t i = 0; i < cnt; ++i) d[i] = std::fma(fs, a[i], -d[i]);
-        break;
-      case Op::kVfminVV:
-        for (std::uint64_t i = 0; i < cnt; ++i) d[i] = std::fmin(a[i], b[i]);
-        break;
-      case Op::kVfminVF:
-        for (std::uint64_t i = 0; i < cnt; ++i) d[i] = std::fmin(a[i], fs);
-        break;
-      case Op::kVfmaxVV:
-        for (std::uint64_t i = 0; i < cnt; ++i) d[i] = std::fmax(a[i], b[i]);
-        break;
-      case Op::kVfmaxVF:
-        for (std::uint64_t i = 0; i < cnt; ++i) d[i] = std::fmax(a[i], fs);
-        break;
-      case Op::kVfsgnjVV:
-        for (std::uint64_t i = 0; i < cnt; ++i) d[i] = std::copysign(a[i], b[i]);
-        break;
-      case Op::kVfsgnjnVV:
-        for (std::uint64_t i = 0; i < cnt; ++i) d[i] = std::copysign(a[i], -b[i]);
-        break;
-      case Op::kVfsqrtV:
-        for (std::uint64_t i = 0; i < cnt; ++i) d[i] = std::sqrt(a[i]);
-        break;
-      default: return false;
-    }
-    return true;
-  };
-  if (!compute(nullptr, nullptr, nullptr, 0)) return false;
-
-  // SEW-64 zero-copy path: at SEW 64 the packed mirror bytes ARE the
-  // doubles, so when every operand group's mirror is valid the op computes
-  // directly in the mirror — no staging copies at all. Source and
-  // destination groups must coincide exactly or not overlap (the RVV
-  // legality rule the kernels follow); a shifted overlap would make the
-  // in-place elementwise loop read already-written elements where the
-  // staged path below reads the old ones.
-  if (ew == 8) {
-    const std::uint64_t epr = vrf_.mapping().elems_per_reg(8);
-    const auto group_regs = static_cast<unsigned>((n + epr - 1) / epr);
-    const auto clean = [&](unsigned src) {
-      return src == in.vd || src + group_regs <= in.vd ||
-             in.vd + group_regs <= src;
-    };
-    if (clean(in.vs2) && (!spec.reads_vs1 || clean(in.vs1))) {
-      const std::uint8_t* a8 = vrf_.packed_read_span(in.vs2, n, 8);
-      const std::uint8_t* b8 =
-          spec.reads_vs1 ? vrf_.packed_read_span(in.vs1, n, 8) : nullptr;
-      std::uint8_t* d8 = vrf_.packed_write_span(in.vd, n, 8, spec.reads_vd);
-      compute(reinterpret_cast<double*>(d8), reinterpret_cast<const double*>(a8),
-              reinterpret_cast<const double*>(b8), n);
-      return true;
-    }
-  }
-
-  const auto as_bytes = [](std::vector<double>& v) {
-    return reinterpret_cast<std::uint8_t*>(v.data());
-  };
-  // Stream a register into a double buffer, widening narrow elements. The
-  // widening is exact (f16/f32 -> f64 is injective), so computing in double
-  // and narrowing once on writeback matches the per-element path bit for
-  // bit — that path also reads wide, computes in double, and rounds once
-  // inside write_f.
-  const auto load_wide = [&](unsigned reg, std::vector<double>& dst) {
-    dst.resize(n);
-    if (ew == 8) {
-      vrf_.read_stream(reg, n, 8, as_bytes(dst));
-      return;
-    }
-    buf_mem_.resize(n * ew);
-    vrf_.read_stream(reg, n, ew, buf_mem_.data());
-    if (ew == 4) {
-      for (std::uint64_t i = 0; i < n; ++i) {
-        float f = 0.0F;
-        std::memcpy(&f, buf_mem_.data() + i * 4, 4);
-        dst[i] = static_cast<double>(f);
-      }
-    } else {
-      for (std::uint64_t i = 0; i < n; ++i) {
-        std::uint16_t h = 0;
-        std::memcpy(&h, buf_mem_.data() + i * 2, 2);
-        dst[i] = f16_to_f64(h);
-      }
-    }
-  };
-
-  // Gather the operand streams this opcode needs.
-  load_wide(in.vs2, buf_s2_);
-  const double* a = buf_s2_.data();
-  const double* b = nullptr;
-  if (spec.reads_vs1) {
-    load_wide(in.vs1, buf_s1_);
-    b = buf_s1_.data();
-  }
-  buf_d_.resize(n);
-  double* d = buf_d_.data();
-  if (spec.reads_vd) load_wide(in.vd, buf_d_);
-
-  compute(d, a, b, n);
-  if (ew == 8) {
-    vrf_.write_stream(in.vd, n, 8, as_bytes(buf_d_));
-  } else {
-    // Narrow once on writeback — the single rounding step shared with
-    // write_f on the per-element path.
-    buf_mem_.resize(n * ew);
-    if (ew == 4) {
-      for (std::uint64_t i = 0; i < n; ++i) {
-        const auto f = static_cast<float>(d[i]);
-        std::memcpy(buf_mem_.data() + i * 4, &f, 4);
-      }
-    } else {
-      for (std::uint64_t i = 0; i < n; ++i) {
-        const std::uint16_t h = f64_to_f16(d[i]);
-        std::memcpy(buf_mem_.data() + i * 2, &h, 2);
-      }
-    }
-    vrf_.write_stream(in.vd, n, ew, buf_mem_.data());
-  }
-  return true;
-}
-
-void FunctionalEngine::exec_fp(const VInstr& in) {
-  if (exec_fp_bulk(in)) return;
-  const double fs = scalar_of(in);
-  for (std::uint64_t i = 0; i < vl_; ++i) {
-    if (!active(in, i)) continue;
-    double result = 0.0;
-    switch (in.op) {
-      case Op::kVfaddVV: result = read_f(in.vs2, i) + read_f(in.vs1, i); break;
-      case Op::kVfaddVF: result = read_f(in.vs2, i) + fs; break;
-      case Op::kVfsubVV: result = read_f(in.vs2, i) - read_f(in.vs1, i); break;
-      case Op::kVfsubVF: result = read_f(in.vs2, i) - fs; break;
-      case Op::kVfrsubVF: result = fs - read_f(in.vs2, i); break;
-      case Op::kVfmulVV: result = read_f(in.vs2, i) * read_f(in.vs1, i); break;
-      case Op::kVfmulVF: result = read_f(in.vs2, i) * fs; break;
-      case Op::kVfdivVV: result = read_f(in.vs2, i) / read_f(in.vs1, i); break;
-      case Op::kVfdivVF: result = read_f(in.vs2, i) / fs; break;
-      case Op::kVfrdivVF: result = fs / read_f(in.vs2, i); break;
-      case Op::kVfmaccVV:
-        result = std::fma(read_f(in.vs1, i), read_f(in.vs2, i), read_f(in.vd, i));
-        break;
-      case Op::kVfmaccVF:
-        result = std::fma(fs, read_f(in.vs2, i), read_f(in.vd, i));
-        break;
-      case Op::kVfnmsacVV:
-        result = std::fma(-read_f(in.vs1, i), read_f(in.vs2, i), read_f(in.vd, i));
-        break;
-      case Op::kVfnmsacVF:
-        result = std::fma(-fs, read_f(in.vs2, i), read_f(in.vd, i));
-        break;
-      case Op::kVfmaddVF:
-        result = std::fma(read_f(in.vd, i), fs, read_f(in.vs2, i));
-        break;
-      case Op::kVfmaddVV:
-        result = std::fma(read_f(in.vd, i), read_f(in.vs1, i), read_f(in.vs2, i));
-        break;
-      case Op::kVfmsacVF:
-        result = std::fma(fs, read_f(in.vs2, i), -read_f(in.vd, i));
-        break;
-      case Op::kVfminVV: result = std::fmin(read_f(in.vs2, i), read_f(in.vs1, i)); break;
-      case Op::kVfminVF: result = std::fmin(read_f(in.vs2, i), fs); break;
-      case Op::kVfmaxVV: result = std::fmax(read_f(in.vs2, i), read_f(in.vs1, i)); break;
-      case Op::kVfmaxVF: result = std::fmax(read_f(in.vs2, i), fs); break;
-      case Op::kVfsgnjVV:
-        result = std::copysign(read_f(in.vs2, i), read_f(in.vs1, i));
-        break;
-      case Op::kVfsgnjnVV:
-        result = std::copysign(read_f(in.vs2, i), -read_f(in.vs1, i));
-        break;
-      case Op::kVfcvtXF: {
-        const double r = std::nearbyint(read_f(in.vs2, i));
-        write_x(in.vd, i, static_cast<std::uint64_t>(static_cast<std::int64_t>(r)));
-        continue;
-      }
-      case Op::kVfcvtFX: {
-        const auto x = static_cast<std::int64_t>(read_x(in.vs2, i));
-        result = static_cast<double>(x);
-        break;
-      }
-      case Op::kVfsqrtV: result = std::sqrt(read_f(in.vs2, i)); break;
-      default: fail("unhandled FP op");
-    }
-    write_f(in.vd, i, result);
-  }
-}
-
-template <typename T>
-void FunctionalEngine::exec_int_bulk_t(const VInstr& in) {
-  const OpSpec& spec = op_spec(in.op);
-  const std::uint64_t n = vl_;
-  constexpr unsigned kW = sizeof(T);
-  const unsigned bits = kW * 8;
-  const T xs = static_cast<T>(static_cast<std::uint64_t>(in.xs));
-
-  const bool needs_vs2 = in.op != Op::kVmvVX && in.op != Op::kVidV &&
-                         in.op != Op::kVmvVV;
-  const T* a = nullptr;
-  if (needs_vs2) {
-    buf_i2_.resize(n * kW);
-    vrf_.read_stream(in.vs2, n, kW, buf_i2_.data());
-    a = reinterpret_cast<const T*>(buf_i2_.data());
-  }
-  const T* b = nullptr;
-  if (spec.reads_vs1) {
-    buf_i1_.resize(n * kW);
-    vrf_.read_stream(in.vs1, n, kW, buf_i1_.data());
-    b = reinterpret_cast<const T*>(buf_i1_.data());
-  }
-  buf_id_.resize(n * kW);
-  T* d = reinterpret_cast<T*>(buf_id_.data());
-  if (spec.reads_vd) vrf_.read_stream(in.vd, n, kW, buf_id_.data());
-
-  using S = std::make_signed_t<T>;
-  switch (in.op) {
-    case Op::kVaddVV: for (std::uint64_t i = 0; i < n; ++i) d[i] = static_cast<T>(a[i] + b[i]); break;
-    case Op::kVaddVX: for (std::uint64_t i = 0; i < n; ++i) d[i] = static_cast<T>(a[i] + xs); break;
-    case Op::kVsubVV: for (std::uint64_t i = 0; i < n; ++i) d[i] = static_cast<T>(a[i] - b[i]); break;
-    case Op::kVsllVX: {
-      const unsigned sh = static_cast<unsigned>(static_cast<std::uint64_t>(in.xs) % bits);
-      for (std::uint64_t i = 0; i < n; ++i) d[i] = static_cast<T>(a[i] << sh);
-      break;
-    }
-    case Op::kVsrlVX: {
-      const unsigned sh = static_cast<unsigned>(static_cast<std::uint64_t>(in.xs) % bits);
-      for (std::uint64_t i = 0; i < n; ++i) d[i] = static_cast<T>(a[i] >> sh);
-      break;
-    }
-    case Op::kVandVX: for (std::uint64_t i = 0; i < n; ++i) d[i] = static_cast<T>(a[i] & xs); break;
-    case Op::kVmvVX: for (std::uint64_t i = 0; i < n; ++i) d[i] = xs; break;
-    case Op::kVmvVV: for (std::uint64_t i = 0; i < n; ++i) d[i] = b[i]; break;
-    case Op::kVidV: for (std::uint64_t i = 0; i < n; ++i) d[i] = static_cast<T>(i); break;
-    case Op::kVmulVV: for (std::uint64_t i = 0; i < n; ++i) d[i] = static_cast<T>(a[i] * b[i]); break;
-    case Op::kVmulVX: for (std::uint64_t i = 0; i < n; ++i) d[i] = static_cast<T>(a[i] * xs); break;
-    case Op::kVmaccVV:
-      for (std::uint64_t i = 0; i < n; ++i) d[i] = static_cast<T>(d[i] + b[i] * a[i]);
-      break;
-    case Op::kVrsubVX: for (std::uint64_t i = 0; i < n; ++i) d[i] = static_cast<T>(xs - a[i]); break;
-    case Op::kVmaxVV:
-      for (std::uint64_t i = 0; i < n; ++i) {
-        d[i] = static_cast<T>(std::max(static_cast<S>(a[i]), static_cast<S>(b[i])));
-      }
-      break;
-    case Op::kVminVV:
-      for (std::uint64_t i = 0; i < n; ++i) {
-        d[i] = static_cast<T>(std::min(static_cast<S>(a[i]), static_cast<S>(b[i])));
-      }
-      break;
-    default: fail("op not in the bulk integer set");
-  }
-  vrf_.write_stream(in.vd, n, kW, buf_id_.data());
-}
-
-bool FunctionalEngine::exec_int_bulk(const VInstr& in) {
-  if (in.masked) return false;
-  switch (in.op) {
-    case Op::kVaddVV: case Op::kVaddVX: case Op::kVsubVV: case Op::kVsllVX:
-    case Op::kVsrlVX: case Op::kVandVX: case Op::kVmvVX: case Op::kVmvVV:
-    case Op::kVidV: case Op::kVmulVV: case Op::kVmulVX: case Op::kVmaccVV:
-    case Op::kVrsubVX: case Op::kVmaxVV: case Op::kVminVV: break;
-    default: return false;  // merges, FP moves: per-element fallback
-  }
-  switch (ew_bytes()) {
-    case 1: exec_int_bulk_t<std::uint8_t>(in); return true;
-    case 2: exec_int_bulk_t<std::uint16_t>(in); return true;
-    case 4: exec_int_bulk_t<std::uint32_t>(in); return true;
-    case 8: exec_int_bulk_t<std::uint64_t>(in); return true;
-    default: return false;
-  }
-}
-
-void FunctionalEngine::exec_int(const VInstr& in) {
-  if (exec_int_bulk(in)) return;
-  const unsigned bits = sew_bits(vtype_.sew);
-  const std::uint64_t mask =
-      bits >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << bits) - 1);
-  const auto xs = static_cast<std::uint64_t>(in.xs);
-  for (std::uint64_t i = 0; i < vl_; ++i) {
-    if (!active(in, i) && in.op != Op::kVmergeVVM && in.op != Op::kVfmergeVFM) {
-      continue;
-    }
-    switch (in.op) {
-      case Op::kVaddVV: write_x(in.vd, i, (read_x(in.vs2, i) + read_x(in.vs1, i)) & mask); break;
-      case Op::kVaddVX: write_x(in.vd, i, (read_x(in.vs2, i) + xs) & mask); break;
-      case Op::kVsubVV: write_x(in.vd, i, (read_x(in.vs2, i) - read_x(in.vs1, i)) & mask); break;
-      case Op::kVsllVX: write_x(in.vd, i, (read_x(in.vs2, i) << (xs % bits)) & mask); break;
-      case Op::kVsrlVX: write_x(in.vd, i, (read_x(in.vs2, i) & mask) >> (xs % bits)); break;
-      case Op::kVandVX: write_x(in.vd, i, read_x(in.vs2, i) & xs & mask); break;
-      case Op::kVmvVX: write_x(in.vd, i, xs & mask); break;
-      case Op::kVmvVV: write_x(in.vd, i, read_x(in.vs1, i)); break;
-      case Op::kVfmvVF: write_f(in.vd, i, scalar_of(in)); break;
-      case Op::kVfmvSF:
-        if (i == 0) write_f(in.vd, 0, scalar_of(in));
-        break;
-      case Op::kVidV: write_x(in.vd, i, i & mask); break;
-      case Op::kVmergeVVM:
-        write_x(in.vd, i, vrf_.mask_bit(0, i) ? read_x(in.vs1, i) : read_x(in.vs2, i));
-        break;
-      case Op::kVfmergeVFM:
-        if (vrf_.mask_bit(0, i)) {
-          write_f(in.vd, i, scalar_of(in));
-        } else {
-          write_x(in.vd, i, read_x(in.vs2, i));
-        }
-        break;
-      case Op::kVmulVV:
-        write_x(in.vd, i, (read_x(in.vs2, i) * read_x(in.vs1, i)) & mask);
-        break;
-      case Op::kVmulVX: write_x(in.vd, i, (read_x(in.vs2, i) * xs) & mask); break;
-      case Op::kVmaccVV:
-        write_x(in.vd, i,
-                (read_x(in.vd, i) + read_x(in.vs1, i) * read_x(in.vs2, i)) & mask);
-        break;
-      case Op::kVrsubVX: write_x(in.vd, i, (xs - read_x(in.vs2, i)) & mask); break;
-      case Op::kVmaxVV:
-      case Op::kVminVV: {
-        // Signed comparison at the current SEW: sign-extend stored bits.
-        const auto sext = [&](std::uint64_t v) -> std::int64_t {
-          if (bits >= 64) return static_cast<std::int64_t>(v);
-          const std::uint64_t sign = std::uint64_t{1} << (bits - 1);
-          return static_cast<std::int64_t>(((v & mask) ^ sign) - sign);
-        };
-        const std::int64_t a = sext(read_x(in.vs2, i));
-        const std::int64_t b = sext(read_x(in.vs1, i));
-        const std::int64_t r =
-            in.op == Op::kVmaxVV ? std::max(a, b) : std::min(a, b);
-        write_x(in.vd, i, static_cast<std::uint64_t>(r) & mask);
-        break;
-      }
-      default: fail("unhandled integer/move op");
-    }
-  }
-}
-
-void FunctionalEngine::exec_reduction(const VInstr& in) {
-  double acc = read_f(in.vs1, 0);
-  if (vtype_.sew == Sew::k64 && !in.masked) {
-    // Bulk path: one stream read, then a pure accumulate loop.
-    buf_s2_.resize(vl_);
-    vrf_.read_stream(in.vs2, vl_, 8,
-                     reinterpret_cast<std::uint8_t*>(buf_s2_.data()));
-    const double* v = buf_s2_.data();
-    switch (in.op) {
-      case Op::kVfredusum:
-        for (std::uint64_t i = 0; i < vl_; ++i) acc += v[i];
-        break;
-      case Op::kVfredmax:
-        for (std::uint64_t i = 0; i < vl_; ++i) acc = std::fmax(acc, v[i]);
-        break;
-      case Op::kVfredmin:
-        for (std::uint64_t i = 0; i < vl_; ++i) acc = std::fmin(acc, v[i]);
-        break;
-      default: fail("unhandled reduction");
-    }
-    write_f(in.vd, 0, acc);
-    return;
-  }
-  for (std::uint64_t i = 0; i < vl_; ++i) {
-    if (!active(in, i)) continue;
-    const double v = read_f(in.vs2, i);
-    switch (in.op) {
-      case Op::kVfredusum: acc += v; break;
-      case Op::kVfredmax: acc = std::fmax(acc, v); break;
-      case Op::kVfredmin: acc = std::fmin(acc, v); break;
-      default: fail("unhandled reduction");
-    }
-  }
-  write_f(in.vd, 0, acc);
-}
-
-bool FunctionalEngine::exec_slide_bulk64(const VInstr& in) {
-  if (in.masked || vtype_.sew != Sew::k64) return false;
-  if (in.op != Op::kVfslide1up && in.op != Op::kVfslide1down) return false;
-  const std::uint64_t n = vl_;
-  buf_s2_.resize(n);
-  vrf_.read_stream(in.vs2, n, 8, reinterpret_cast<std::uint8_t*>(buf_s2_.data()));
-  buf_d_.resize(n);
-  if (in.op == Op::kVfslide1up) {
-    std::memmove(buf_d_.data() + 1, buf_s2_.data(), (n - 1) * sizeof(double));
-    buf_d_[0] = scalar_of(in);
-  } else {
-    std::memmove(buf_d_.data(), buf_s2_.data() + 1, (n - 1) * sizeof(double));
-    buf_d_[n - 1] = scalar_of(in);
-  }
-  vrf_.write_stream(in.vd, n, 8, reinterpret_cast<std::uint8_t*>(buf_d_.data()));
-  return true;
-}
-
-void FunctionalEngine::exec_slide(const VInstr& in) {
-  if (exec_slide_bulk64(in)) return;
-  const std::uint64_t vlmax_now = vlmax(cfg_.effective_vlen(), vtype_);
-  switch (in.op) {
-    case Op::kVfslide1up: {
-      // vd must not overlap vs2 (enforced by the builder): descending copy
-      // is safe either way.
-      for (std::uint64_t i = vl_; i-- > 1;) {
-        if (active(in, i)) write_f(in.vd, i, read_f(in.vs2, i - 1));
-      }
-      if (active(in, 0)) write_f(in.vd, 0, scalar_of(in));
-      return;
-    }
-    case Op::kVfslide1down: {
-      for (std::uint64_t i = 0; i + 1 < vl_; ++i) {
-        if (active(in, i)) write_f(in.vd, i, read_f(in.vs2, i + 1));
-      }
-      if (vl_ > 0 && active(in, vl_ - 1)) write_f(in.vd, vl_ - 1, scalar_of(in));
-      return;
-    }
-    case Op::kVslideupVX: {
-      const auto k = static_cast<std::uint64_t>(in.xs);
-      for (std::uint64_t i = vl_; i-- > k;) {
-        if (active(in, i)) write_x(in.vd, i, read_x(in.vs2, i - k));
-      }
-      return;  // elements [0, k) remain undisturbed
-    }
-    case Op::kVslidedownVX: {
-      const auto k = static_cast<std::uint64_t>(in.xs);
-      for (std::uint64_t i = 0; i < vl_; ++i) {
-        if (!active(in, i)) continue;
-        const std::uint64_t src = i + k;
-        write_x(in.vd, i, src < vlmax_now ? read_x(in.vs2, src) : 0);
-      }
-      return;
-    }
-    default: fail("unhandled slide");
-  }
-}
-
-bool FunctionalEngine::exec_mask_bulk(const VInstr& in) {
-  if (in.masked) return false;
-  const std::uint64_t n = vl_;
-  switch (in.op) {
-    // Mask-logical: one dedicated loop per opcode over the bit accessors —
-    // no per-element opcode switch or mask-predicate re-test.
-    case Op::kVmandMM:
-      for (std::uint64_t i = 0; i < n; ++i) {
-        vrf_.set_mask_bit(in.vd, i, vrf_.mask_bit(in.vs2, i) && vrf_.mask_bit(in.vs1, i));
-      }
-      return true;
-    case Op::kVmorMM:
-      for (std::uint64_t i = 0; i < n; ++i) {
-        vrf_.set_mask_bit(in.vd, i, vrf_.mask_bit(in.vs2, i) || vrf_.mask_bit(in.vs1, i));
-      }
-      return true;
-    case Op::kVmxorMM:
-      for (std::uint64_t i = 0; i < n; ++i) {
-        vrf_.set_mask_bit(in.vd, i, vrf_.mask_bit(in.vs2, i) != vrf_.mask_bit(in.vs1, i));
-      }
-      return true;
-    case Op::kVmandnMM:
-      for (std::uint64_t i = 0; i < n; ++i) {
-        vrf_.set_mask_bit(in.vd, i, vrf_.mask_bit(in.vs2, i) && !vrf_.mask_bit(in.vs1, i));
-      }
-      return true;
-    default: break;
-  }
-  if (vtype_.sew != Sew::k64) return false;
-  // SEW=64 compares: gather the operand streams once, then a tight
-  // compare-and-set loop per opcode.
-  buf_s2_.resize(n);
-  vrf_.read_stream(in.vs2, n, 8, reinterpret_cast<std::uint8_t*>(buf_s2_.data()));
-  const double* a = buf_s2_.data();
-  const double fs = scalar_of(in);
-  const double* b = nullptr;
-  if (op_spec(in.op).reads_vs1) {
-    buf_s1_.resize(n);
-    vrf_.read_stream(in.vs1, n, 8, reinterpret_cast<std::uint8_t*>(buf_s1_.data()));
-    b = buf_s1_.data();
-  }
-  switch (in.op) {
-    case Op::kVmfeqVV:
-      for (std::uint64_t i = 0; i < n; ++i) vrf_.set_mask_bit(in.vd, i, a[i] == b[i]);
-      return true;
-    case Op::kVmfltVV:
-      for (std::uint64_t i = 0; i < n; ++i) vrf_.set_mask_bit(in.vd, i, a[i] < b[i]);
-      return true;
-    case Op::kVmfleVV:
-      for (std::uint64_t i = 0; i < n; ++i) vrf_.set_mask_bit(in.vd, i, a[i] <= b[i]);
-      return true;
-    case Op::kVmfltVF:
-      for (std::uint64_t i = 0; i < n; ++i) vrf_.set_mask_bit(in.vd, i, a[i] < fs);
-      return true;
-    case Op::kVmfleVF:
-      for (std::uint64_t i = 0; i < n; ++i) vrf_.set_mask_bit(in.vd, i, a[i] <= fs);
-      return true;
-    case Op::kVmfgtVF:
-      for (std::uint64_t i = 0; i < n; ++i) vrf_.set_mask_bit(in.vd, i, a[i] > fs);
-      return true;
-    case Op::kVmfgeVF:
-      for (std::uint64_t i = 0; i < n; ++i) vrf_.set_mask_bit(in.vd, i, a[i] >= fs);
-      return true;
-    default: return false;
-  }
-}
-
-void FunctionalEngine::exec_mask(const VInstr& in) {
-  if (exec_mask_bulk(in)) return;
-  const double fs = scalar_of(in);
-  for (std::uint64_t i = 0; i < vl_; ++i) {
-    if (!active(in, i)) continue;
-    bool bit = false;
-    switch (in.op) {
-      case Op::kVmfeqVV: bit = read_f(in.vs2, i) == read_f(in.vs1, i); break;
-      case Op::kVmfltVV: bit = read_f(in.vs2, i) < read_f(in.vs1, i); break;
-      case Op::kVmfleVV: bit = read_f(in.vs2, i) <= read_f(in.vs1, i); break;
-      case Op::kVmfltVF: bit = read_f(in.vs2, i) < fs; break;
-      case Op::kVmfleVF: bit = read_f(in.vs2, i) <= fs; break;
-      case Op::kVmfgtVF: bit = read_f(in.vs2, i) > fs; break;
-      case Op::kVmfgeVF: bit = read_f(in.vs2, i) >= fs; break;
-      case Op::kVmandMM: bit = vrf_.mask_bit(in.vs2, i) && vrf_.mask_bit(in.vs1, i); break;
-      case Op::kVmorMM: bit = vrf_.mask_bit(in.vs2, i) || vrf_.mask_bit(in.vs1, i); break;
-      case Op::kVmxorMM: bit = vrf_.mask_bit(in.vs2, i) != vrf_.mask_bit(in.vs1, i); break;
-      case Op::kVmandnMM:
-        bit = vrf_.mask_bit(in.vs2, i) && !vrf_.mask_bit(in.vs1, i);
-        break;
-      default: fail("unhandled mask op");
-    }
-    vrf_.set_mask_bit(in.vd, i, bit);
   }
 }
 

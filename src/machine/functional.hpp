@@ -1,11 +1,19 @@
 // Functional (architectural) execution of the RVV subset.
 //
 // The machine model separates *what* an instruction computes from *when*
-// its results appear: this engine updates the physical VRF, memory, and the
-// scalar accumulator with exact IEEE-754 semantics in program order, while
+// its results appear: this engine updates the VRF, memory, and the scalar
+// accumulators with exact IEEE-754 semantics in program order, while
 // machine/timing.cpp models when each element becomes visible. The split is
 // sound because the timing model enforces the same program-order dataflow
 // the functional engine assumes (hazards + chaining).
+//
+// Each op class runs one loop over element-order VRF spans (vrf/vrf.hpp)
+// at the SEW's raw element type, and each opcode's arithmetic is written
+// once. A masked instruction unpacks v0 once and tests it inside that loop.
+// FP arithmetic runs in double and rounds once on the write, so SEW 16/32
+// results are a double computation rounded to the element width.
+// tests/test_functional_ref.cpp checks every opcode and shape against a
+// deliberately naive per-element interpreter.
 #ifndef ARAXL_MACHINE_FUNCTIONAL_HPP
 #define ARAXL_MACHINE_FUNCTIONAL_HPP
 
@@ -34,58 +42,32 @@ class FunctionalEngine {
   [[nodiscard]] std::int64_t scalar_iacc() const noexcept { return scalar_iacc_; }
 
  private:
-  // Element accessors honouring the current SEW.
-  [[nodiscard]] double read_f(unsigned reg, std::uint64_t i) const;
-  void write_f(unsigned reg, std::uint64_t i, double v);
-  [[nodiscard]] std::uint64_t read_x(unsigned reg, std::uint64_t i) const;
-  void write_x(unsigned reg, std::uint64_t i, std::uint64_t v);
-  [[nodiscard]] bool active(const VInstr& in, std::uint64_t i) const;
-  [[nodiscard]] unsigned ew_bytes() const { return sew_bytes(vtype_.sew); }
   [[nodiscard]] double scalar_of(const VInstr& in) const {
     return in.fs_from_acc ? scalar_acc_ : in.fs;
   }
+  /// v0's first vl mask bits, one byte per element.
+  [[nodiscard]] const std::uint8_t* unpack_v0();
 
-  void exec_memory(const VInstr& in);
-  /// Bulk unmasked constant-stride path (vlse/vsse): one bounds check for
-  /// the whole transfer, a tight fixed-width gather/scatter loop through
-  /// scratch, and a single VRF stream. Returns false when the shape needs
-  /// the per-element fallback.
-  bool exec_memory_bulk_strided(const VInstr& in);
-  /// Bulk *masked* unit-stride path (vle/vse with a mask): one bounds
-  /// check for the whole range, the vd stream read once (load merge keeps
-  /// inactive elements), then fixed-width copies for the active elements
-  /// only. Returns false when any byte of the range is out of bounds —
-  /// the per-element fallback then reports the exact faulting element.
-  bool exec_memory_bulk_masked_unit(const VInstr& in);
-  void exec_fp(const VInstr& in);
-  /// Bulk unmasked FP path at SEW 16/32/64: operands streamed into
-  /// contiguous scratch (narrow elements widened to double — bit-exact
-  /// with the per-element path, which also computes in double and rounds
-  /// once on writeback), one tight loop per opcode, result narrowed and
-  /// streamed back. Returns false when the op/shape needs the per-element
-  /// fallback.
-  bool exec_fp_bulk(const VInstr& in);
-  void exec_int(const VInstr& in);
-  /// Bulk unmasked integer/move path at any SEW: operands streamed into
-  /// fixed-width scratch, one tight native-width loop per opcode (wrapping
-  /// arithmetic replaces the per-element mask dance), result streamed back.
-  /// Returns false when the op/shape needs the per-element fallback.
-  bool exec_int_bulk(const VInstr& in);
+  // One executor per op class, at T = the SEW's unsigned element type.
+  // `m` is the unpacked v0 of a masked instruction, nullptr when every
+  // element is active.
   template <typename T>
-  void exec_int_bulk_t(const VInstr& in);
-  void exec_reduction(const VInstr& in);
-  void exec_slide(const VInstr& in);
-  /// Bulk unmasked SEW=64 slide1up/slide1down: one source stream, a shifted
-  /// memmove in scratch, one destination stream (the jacobi2d hot path).
-  bool exec_slide_bulk64(const VInstr& in);
-  void exec_mask(const VInstr& in);
-  /// Flattened mask paths: dedicated per-opcode loops (no per-element
-  /// opcode switch), with SEW=64 compare operands gathered through the
-  /// bulk streams. Returns false for shapes the fallback must handle.
-  bool exec_mask_bulk(const VInstr& in);
-  void exec_widening(const VInstr& in);
-  void exec_gather(const VInstr& in);
-  void exec_mask_population(const VInstr& in);
+  void exec_sew(const VInstr& in);
+  template <typename T>
+  void exec_memory(const VInstr& in, const std::uint8_t* m);
+  template <typename T>
+  void exec_elementwise(const VInstr& in, const std::uint8_t* m);
+  template <typename T>
+  void exec_reduction(const VInstr& in, const std::uint8_t* m);
+  template <typename T>
+  void exec_slide(const VInstr& in, const std::uint8_t* m);
+  template <typename T>
+  void exec_mask(const VInstr& in, const std::uint8_t* m);
+  template <typename T>
+  void exec_gather(const VInstr& in, const std::uint8_t* m);
+  template <typename T>
+  void exec_mask_population(const VInstr& in, const std::uint8_t* m);
+  void exec_widening(const VInstr& in, const std::uint8_t* m);
 
   const MachineConfig& cfg_;
   Vrf& vrf_;
@@ -94,17 +76,7 @@ class FunctionalEngine {
   std::uint64_t vl_ = 0;
   double scalar_acc_ = 0.0;
   std::int64_t scalar_iacc_ = 0;
-
-  // Scratch for the bulk FP path (capacity persists across instructions).
-  std::vector<double> buf_s2_;
-  std::vector<double> buf_s1_;
-  std::vector<double> buf_d_;
-  // Scratch for the bulk strided memory path.
-  std::vector<std::uint8_t> buf_mem_;
-  // Scratch for the bulk integer path (raw element bytes at the active SEW).
-  std::vector<std::uint8_t> buf_i2_;
-  std::vector<std::uint8_t> buf_i1_;
-  std::vector<std::uint8_t> buf_id_;
+  std::vector<std::uint8_t> v0_;  ///< unpack_v0's storage
 };
 
 }  // namespace araxl

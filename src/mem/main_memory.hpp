@@ -33,6 +33,10 @@ class MainMemory {
   MainMemory& operator=(const MainMemory&) = delete;
 
   [[nodiscard]] std::uint64_t size() const noexcept { return size_; }
+  /// Whether [addr, addr + len) lies inside memory (the accessors' check).
+  [[nodiscard]] bool in_bounds(std::uint64_t addr, std::uint64_t len) const noexcept {
+    return addr + len <= size_ && addr + len >= addr;
+  }
 
   void read(std::uint64_t addr, std::span<std::uint8_t> out) const;
   void write(std::uint64_t addr, std::span<const std::uint8_t> in);
@@ -74,8 +78,7 @@ class MainMemory {
 
  private:
   void bounds(std::uint64_t addr, std::uint64_t len) const {
-    check(addr + len <= size_ && addr + len >= addr,
-          "memory access out of bounds");
+    check(in_bounds(addr, len), "memory access out of bounds");
   }
 
   std::uint64_t size_ = 0;

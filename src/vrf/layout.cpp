@@ -2,34 +2,6 @@
 
 namespace araxl {
 
-MaskBitLoc mask_bit_loc(const VrfMapping& map, MaskLayout layout, std::uint64_t i) {
-  MaskBitLoc loc;
-  switch (layout) {
-    case MaskLayout::kStandard: {
-      // Logical byte i/8; logical 64-bit word w = i/64 is mapped like an
-      // 8-byte element, and the byte keeps its offset within the word.
-      const std::uint64_t word = i / 64;
-      const unsigned byte_in_word = static_cast<unsigned>((i / 8) % 8);
-      loc.cluster = map.cluster_of(word);
-      loc.lane = map.lane_of(word);
-      loc.byte_offset = map.row_of(word) * 8 + byte_in_word;
-      loc.bit = static_cast<unsigned>(i % 8);
-      return loc;
-    }
-    case MaskLayout::kLaneLocal: {
-      // The bit for element i lives with element i: same cluster/lane, bit
-      // position = the element's row within the lane.
-      const std::uint64_t row = map.row_of(i);
-      loc.cluster = map.cluster_of(i);
-      loc.lane = map.lane_of(i);
-      loc.byte_offset = row / 8;
-      loc.bit = static_cast<unsigned>(row % 8);
-      return loc;
-    }
-  }
-  fail("unknown mask layout");
-}
-
 double mask_locality_fraction(const VrfMapping& map, MaskLayout layout,
                               std::uint64_t vl) {
   if (vl == 0) return 1.0;

@@ -31,7 +31,29 @@ struct MaskBitLoc {
   unsigned bit = 0;
 };
 
-MaskBitLoc mask_bit_loc(const VrfMapping& map, MaskLayout layout, std::uint64_t i);
+/// Inline: the functional engine unpacks a mask register bit by bit.
+inline MaskBitLoc mask_bit_loc(const VrfMapping& map, MaskLayout layout,
+                               std::uint64_t i) {
+  MaskBitLoc loc;
+  if (layout == MaskLayout::kStandard) {
+    // Logical byte i/8; logical 64-bit word w = i/64 is mapped like an
+    // 8-byte element, and the byte keeps its offset within the word.
+    const std::uint64_t word = i / 64;
+    loc.cluster = map.cluster_of(word);
+    loc.lane = map.lane_of(word);
+    loc.byte_offset = map.row_of(word) * 8 + (i / 8) % 8;
+    loc.bit = static_cast<unsigned>(i % 8);
+  } else {
+    // The bit for element i lives with element i: same cluster/lane, bit
+    // position = the element's row within the lane.
+    const std::uint64_t row = map.row_of(i);
+    loc.cluster = map.cluster_of(i);
+    loc.lane = map.lane_of(i);
+    loc.byte_offset = row / 8;
+    loc.bit = static_cast<unsigned>(row % 8);
+  }
+  return loc;
+}
 
 /// Fraction of the first `vl` mask bits that live in the same lane as the
 /// element they guard. 1.0 for kLaneLocal by construction; ~1/total_lanes

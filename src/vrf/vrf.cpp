@@ -1,21 +1,15 @@
 #include "vrf/vrf.hpp"
 
 #include <bit>
-#include <cstring>
-
-#include "isa/instr.hpp"
 
 namespace araxl {
 
 Vrf::Vrf(Topology topo, std::uint64_t vlen_bits, MaskLayout mask_layout)
     : map_(topo, vlen_bits), mask_layout_(mask_layout) {
-  bytes_.assign(static_cast<std::size_t>(topo.total_lanes()) * kNumVregs *
-                    map_.slice_bytes(),
-                0);
-  reg_bytes_ = map_.slice_bytes() * map_.topology().total_lanes();
-  mirror_.assign(static_cast<std::size_t>(kNumVregs) * reg_bytes_, 0);
-  mirror_state_.fill(MirrorState::kInvalid);
-  mirror_ew_.fill(0);
+  reg_shift_ = static_cast<unsigned>(std::countr_zero(vlen_bits / 8));
+  lanes_shift_ = static_cast<unsigned>(std::countr_zero(topo.total_lanes()));
+  image_.assign(std::size_t{kNumVregs} << reg_shift_, 0);
+  tag_.fill(8);  // all-zero registers read the same at every width
 }
 
 std::vector<double> Vrf::read_f64_slice(unsigned base_vreg,
@@ -26,180 +20,42 @@ std::vector<double> Vrf::read_f64_slice(unsigned base_vreg,
   return out;
 }
 
-namespace {
-
-/// Streams `in_reg` packed elements of ONE register between a packed buffer
-/// and the lane-interleaved storage. The mapping sends element j to flat
-/// lane (j mod TL) at row (j div TL). The walk is lane-major: for one lane
-/// all rows of a register are contiguous in VRF storage, so the inner loop
-/// touches the register file sequentially and only the (cache-resident)
-/// packed buffer is accessed with a stride. The element-major order used
-/// previously made every VRF access jump by kNumVregs * slice bytes — a
-/// 4 KiB stride at 64 lanes that turned each whole-register stream into a
-/// cache-miss chain.
-template <unsigned kEw, bool kWrite, typename Bytes, typename Buf>
-void stream_reg(const VrfMapping& map, Bytes* reg_base, std::uint64_t in_reg,
-                Buf* buf) {
-  const unsigned total_lanes = map.topology().total_lanes();
-  const std::uint64_t lane_stride = kNumVregs * map.slice_bytes();
-  const std::uint64_t buf_row = std::uint64_t{total_lanes} * kEw;
-  for (std::uint64_t l = 0; l < total_lanes && l < in_reg; ++l) {
-    const std::uint64_t rows = (in_reg - l + total_lanes - 1) / total_lanes;
-    Bytes* p = reg_base + l * lane_stride;
-    Buf* q = buf + l * kEw;
-    for (std::uint64_t r = 0; r < rows; ++r, p += kEw, q += buf_row) {
-      if constexpr (kWrite) {
-        std::memcpy(p, q, kEw);
-      } else {
-        std::memcpy(q, p, kEw);
-      }
-    }
-  }
-}
-
-template <bool kWrite, typename Bytes, typename Buf>
-void stream_reg_dispatch(const VrfMapping& map, Bytes* reg_base,
-                         std::uint64_t in_reg, unsigned ew, Buf* buf) {
-  switch (ew) {
-    case 1: stream_reg<1, kWrite>(map, reg_base, in_reg, buf); break;
-    case 2: stream_reg<2, kWrite>(map, reg_base, in_reg, buf); break;
-    case 4: stream_reg<4, kWrite>(map, reg_base, in_reg, buf); break;
-    case 8: stream_reg<8, kWrite>(map, reg_base, in_reg, buf); break;
-    default: fail("invalid element width");
-  }
-}
-
-}  // namespace
-
-void Vrf::flush_mirror_slow(unsigned vreg) const {
-  const unsigned ew = mirror_ew_[vreg];
-  stream_reg_dispatch<true>(map_, bytes_.data() + vreg * map_.slice_bytes(),
-                            map_.elems_per_reg(ew), ew,
-                            mirror_.data() + vreg * reg_bytes_);
-  mirror_state_[vreg] = MirrorState::kClean;
-}
-
-void Vrf::adopt_mirror(unsigned vreg, unsigned ew_bytes) const {
-  if (mirror_state_[vreg] != MirrorState::kInvalid &&
-      mirror_ew_[vreg] == ew_bytes) {
-    return;
-  }
-  // A dirty mirror at another width holds newer data than the lane bytes;
-  // materialize it first so the adoption transpose reads current values.
-  flush_mirror(vreg);
-  stream_reg_dispatch<false>(
-      map_,
-      const_cast<const std::uint8_t*>(bytes_.data()) + vreg * map_.slice_bytes(),
-      map_.elems_per_reg(ew_bytes), ew_bytes, mirror_.data() + vreg * reg_bytes_);
-  mirror_state_[vreg] = MirrorState::kClean;
-  mirror_ew_[vreg] = static_cast<std::uint8_t>(ew_bytes);
-}
-
-void Vrf::write_stream(unsigned base_vreg, std::uint64_t vl, unsigned ew_bytes,
-                       const std::uint8_t* src) {
-  const std::uint64_t epr = map_.elems_per_reg(ew_bytes);
-  std::uint64_t done = 0;
-  unsigned vreg = base_vreg;
-  while (done < vl) {
-    check(vreg < kNumVregs, "element index spills past v31");
-    const std::uint64_t in_reg = std::min<std::uint64_t>(vl - done, epr);
-    const std::uint8_t* seg = src + done * ew_bytes;
-    if (in_reg == epr) {
-      // Whole register: the packed image IS the write — defer the lane
-      // transpose until someone actually looks at lane bytes.
-      std::memcpy(mirror_.data() + vreg * reg_bytes_, seg, epr * ew_bytes);
-      mirror_ew_[vreg] = static_cast<std::uint8_t>(ew_bytes);
-    } else {
-      // Partial strip: adopt the register into the mirror (one full
-      // transpose-read; free if already valid at this width) so the
-      // untouched tail is represented, then overwrite the prefix. The
-      // adoption pays for itself on the next access — short-vl kernels
-      // touch the same registers every loop iteration.
-      adopt_mirror(vreg, ew_bytes);
-      std::memcpy(mirror_.data() + vreg * reg_bytes_, seg, in_reg * ew_bytes);
-    }
-    mirror_state_[vreg] = MirrorState::kDirty;
-    done += in_reg;
-    ++vreg;
-  }
-}
-
-void Vrf::read_stream(unsigned base_vreg, std::uint64_t vl, unsigned ew_bytes,
-                      std::uint8_t* dst) const {
-  const std::uint64_t epr = map_.elems_per_reg(ew_bytes);
-  std::uint64_t done = 0;
-  unsigned vreg = base_vreg;
-  while (done < vl) {
-    check(vreg < kNumVregs, "element index spills past v31");
-    const std::uint64_t in_reg = std::min<std::uint64_t>(vl - done, epr);
-    std::uint8_t* seg = dst + done * ew_bytes;
-    // A packed prefix of a valid mirror is exactly the requested stream;
-    // adopting (no-op when already valid at this width) caches the
-    // transpose for every later access to the register.
-    adopt_mirror(vreg, ew_bytes);
-    std::memcpy(seg, mirror_.data() + vreg * reg_bytes_, in_reg * ew_bytes);
-    done += in_reg;
-    ++vreg;
-  }
-}
-
-const std::uint8_t* Vrf::packed_read_span(unsigned base_vreg, std::uint64_t vl,
-                                          unsigned ew_bytes) const {
-  const std::uint64_t epr = map_.elems_per_reg(ew_bytes);
-  const unsigned nregs = static_cast<unsigned>((vl + epr - 1) / epr);
+std::uint8_t* Vrf::group(unsigned base_vreg, std::uint64_t vl,
+                         unsigned ew_bytes) const {
+  const std::uint64_t reg_bytes = std::uint64_t{1} << reg_shift_;
+  const std::uint64_t nregs = (vl * ew_bytes + reg_bytes - 1) >> reg_shift_;
   check(base_vreg + nregs <= kNumVregs, "element index spills past v31");
   for (unsigned v = base_vreg; v < base_vreg + nregs; ++v) {
-    adopt_mirror(v, ew_bytes);
+    if (tag_[v] != ew_bytes) retag(v, ew_bytes);
   }
-  return mirror_.data() + base_vreg * reg_bytes_;
+  return image_.data() + (std::size_t{base_vreg} << reg_shift_);
 }
 
-std::uint8_t* Vrf::packed_write_span(unsigned base_vreg, std::uint64_t vl,
-                                     unsigned ew_bytes, bool reads) {
-  const std::uint64_t epr = map_.elems_per_reg(ew_bytes);
-  const unsigned nregs = static_cast<unsigned>((vl + epr - 1) / epr);
-  check(base_vreg + nregs <= kNumVregs, "element index spills past v31");
-  for (unsigned v = base_vreg; v < base_vreg + nregs; ++v) {
-    const bool fully_covered = (v + 1 - base_vreg) * epr <= vl;
-    if (reads || !fully_covered) {
-      // The op consumes existing elements (or leaves a tail untouched):
-      // the mirror must represent them before the caller writes through.
-      adopt_mirror(v, ew_bytes);
+void Vrf::retag(unsigned vreg, unsigned ew_bytes) const {
+  // Every lane byte keeps its value: read it at the old width's image
+  // position, write it at the new one.
+  std::uint8_t* img = image_.data() + (std::size_t{vreg} << reg_shift_);
+  const std::vector<std::uint8_t> old(img, img + (std::size_t{1} << reg_shift_));
+  const unsigned old_ew = tag_[vreg];
+  const unsigned total_lanes = map_.topology().total_lanes();
+  for (unsigned lane = 0; lane < total_lanes; ++lane) {
+    for (std::uint64_t off = 0; off < map_.slice_bytes(); ++off) {
+      image_[lane_index(vreg, lane, off, ew_bytes)] =
+          old[lane_index(0, lane, off, old_ew)];
     }
-    mirror_state_[v] = MirrorState::kDirty;
-    mirror_ew_[v] = static_cast<std::uint8_t>(ew_bytes);
   }
-  return mirror_.data() + base_vreg * reg_bytes_;
-}
-
-bool Vrf::mask_bit_in(unsigned vreg, std::uint64_t i, MaskLayout layout) const {
-  flush_mirror(vreg);
-  const MaskBitLoc loc = mask_bit_loc(map_, layout, i);
-  const std::uint8_t byte =
-      bytes_[chunk_index(loc.cluster, loc.lane, vreg, loc.byte_offset)];
-  return ((byte >> loc.bit) & 1u) != 0;
+  tag_[vreg] = static_cast<std::uint8_t>(ew_bytes);
 }
 
 void Vrf::set_mask_bit_in(unsigned vreg, std::uint64_t i, MaskLayout layout,
                           bool value) {
-  flush_mirror(vreg);
-  mirror_state_[vreg] = MirrorState::kInvalid;
-  const MaskBitLoc loc = mask_bit_loc(map_, layout, i);
-  std::uint8_t& byte =
-      bytes_[chunk_index(loc.cluster, loc.lane, vreg, loc.byte_offset)];
+  const MaskPos p = mask_pos(vreg, i, layout);
+  std::uint8_t& byte = image_[p.byte];
   if (value) {
-    byte = static_cast<std::uint8_t>(byte | (1u << loc.bit));
+    byte = static_cast<std::uint8_t>(byte | (1u << p.bit));
   } else {
-    byte = static_cast<std::uint8_t>(byte & ~(1u << loc.bit));
+    byte = static_cast<std::uint8_t>(byte & ~(1u << p.bit));
   }
-}
-
-bool Vrf::mask_bit(unsigned vreg, std::uint64_t i) const {
-  return mask_bit_in(vreg, i, mask_layout_);
-}
-
-void Vrf::set_mask_bit(unsigned vreg, std::uint64_t i, bool value) {
-  set_mask_bit_in(vreg, i, mask_layout_, value);
 }
 
 std::uint64_t Vrf::reshuffle_mask(unsigned vreg, MaskLayout from, MaskLayout to,
@@ -224,8 +80,12 @@ std::uint64_t Vrf::reshuffle_mask(unsigned vreg, MaskLayout from, MaskLayout to,
 
 std::uint8_t Vrf::lane_byte(unsigned cluster, unsigned lane, unsigned vreg,
                             std::uint64_t offset) const {
-  flush_mirror(vreg);
-  return bytes_[chunk_index(cluster, lane, vreg, offset)];
+  check(cluster < map_.topology().total_clusters() &&
+            lane < map_.topology().lanes && vreg < kNumVregs &&
+            offset < map_.slice_bytes(),
+        "VRF index out of range");
+  return image_[lane_index(vreg, cluster * map_.topology().lanes + lane, offset,
+                           tag_[vreg])];
 }
 
 }  // namespace araxl

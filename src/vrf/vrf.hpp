@@ -1,22 +1,19 @@
 // Physical Vector Register File.
 //
-// Lane storage is organized exactly as in the hardware: each (cluster,
-// lane) pair owns a chunk holding its slice of all 32 architectural
-// registers (e.g. 128 B x 32 = 4 KiB per lane at VLEN = 1024 bits/lane).
-// All functional reads/writes resolve through the element mapping, so the
-// mapping and layout logic is exercised by every simulated instruction.
+// The store is one element-order image per architectural register: its
+// elements packed in index order at the width the register was last
+// accessed with (its element-width tag). Consecutive registers are
+// consecutive in storage, so an LMUL group is a single contiguous span.
 //
-// On top of the lane storage sits a *lazy packed mirror*: one
-// element-order image per architectural register, tagged with the element
-// width it was packed at. Whole-register unit-stride streams (the bulk
-// load/store and bulk-arithmetic fast paths) read and write the mirror
-// with a single memcpy; the lane-interleaved transpose is deferred until
-// something actually touches lane bytes (per-element access at another
-// width, mask bits, layout introspection), at which point the dirty
-// mirror is flushed through the same mapped walk as before. Values and
-// final lane bytes are identical either way — only *when* the transpose
-// happens changes — so the hardware-layout tests and both timing engines
-// see exactly the bytes they always did.
+// The hardware stripes each register across the lanes, element i in lane
+// i mod L at every element width (paper §III-B.2), so a register's values
+// never depend on that layout and the lane bytes are derived on demand: a
+// lane position (cluster, lane, byte offset) names one image byte under the
+// register's tag, found with the mapping's shifts. Mask bits, whose layouts
+// (§III-B.5) are defined in lane terms, and the layout introspection reach
+// the image that way. Accessing a register at a width other than its tag
+// retags it first: the image at the old width goes to lane order and back
+// to an image at the new width, which leaves every lane byte unchanged.
 #ifndef ARAXL_VRF_VRF_HPP
 #define ARAXL_VRF_VRF_HPP
 
@@ -38,25 +35,24 @@ class Vrf {
   [[nodiscard]] const VrfMapping& mapping() const noexcept { return map_; }
   [[nodiscard]] MaskLayout mask_layout() const noexcept { return mask_layout_; }
 
-  // ---- raw element access (idx counts from base_vreg across LMUL) --------
-  // Inline, with fixed-size copies per element width: every functional
-  // element read/write funnels through these, and a variable-length memcpy
-  // would cost a libc call per element. When the register's packed mirror
-  // is valid at this width the element is served from it directly (packed
-  // offset is shift/mask math); otherwise a dirty mirror is flushed first
-  // so the lane bytes are current.
+  // ---- element-order spans -------------------------------------------------
+  /// The contiguous image of `vl` elements of width `ew_bytes` starting at
+  /// `base_vreg` (an LMUL group continues into the following registers).
+  /// Covered registers tagged with another width are retagged first. Valid
+  /// until a covered register is next accessed at another width.
+  [[nodiscard]] const std::uint8_t* span(unsigned base_vreg, std::uint64_t vl,
+                                         unsigned ew_bytes) const {
+    return group(base_vreg, vl, ew_bytes);
+  }
+  [[nodiscard]] std::uint8_t* span(unsigned base_vreg, std::uint64_t vl,
+                                   unsigned ew_bytes) {
+    return group(base_vreg, vl, ew_bytes);
+  }
+
+  // ---- single elements (idx counts from base_vreg across LMUL) ------------
   [[nodiscard]] std::uint64_t read_elem(unsigned base_vreg, std::uint64_t idx,
                                         unsigned ew_bytes) const {
-    const VregLoc loc = map_.element_loc(base_vreg, idx, ew_bytes);
-    const std::uint8_t* p;
-    if (mirror_state_[loc.vreg] != MirrorState::kInvalid &&
-        mirror_ew_[loc.vreg] == ew_bytes) {
-      const std::uint64_t j = idx & (map_.elems_per_reg(ew_bytes) - 1);
-      p = mirror_.data() + loc.vreg * reg_bytes_ + j * ew_bytes;
-    } else {
-      flush_mirror(loc.vreg);
-      p = &bytes_[chunk_index(loc.cluster, loc.lane, loc.vreg, loc.byte_offset)];
-    }
+    const std::uint8_t* p = elem(base_vreg, idx, ew_bytes);
     std::uint64_t bits = 0;
     switch (ew_bytes) {
       case 1: std::memcpy(&bits, p, 1); break;
@@ -68,18 +64,7 @@ class Vrf {
   }
   void write_elem(unsigned base_vreg, std::uint64_t idx, unsigned ew_bytes,
                   std::uint64_t bits) {
-    const VregLoc loc = map_.element_loc(base_vreg, idx, ew_bytes);
-    std::uint8_t* p;
-    if (mirror_state_[loc.vreg] != MirrorState::kInvalid &&
-        mirror_ew_[loc.vreg] == ew_bytes) {
-      const std::uint64_t j = idx & (map_.elems_per_reg(ew_bytes) - 1);
-      p = mirror_.data() + loc.vreg * reg_bytes_ + j * ew_bytes;
-      mirror_state_[loc.vreg] = MirrorState::kDirty;
-    } else {
-      flush_mirror(loc.vreg);
-      mirror_state_[loc.vreg] = MirrorState::kInvalid;
-      p = &bytes_[chunk_index(loc.cluster, loc.lane, loc.vreg, loc.byte_offset)];
-    }
+    std::uint8_t* p = elem(base_vreg, idx, ew_bytes);
     switch (ew_bytes) {
       case 1: std::memcpy(p, &bits, 1); break;
       case 2: std::memcpy(p, &bits, 2); break;
@@ -114,41 +99,13 @@ class Vrf {
   [[nodiscard]] std::vector<double> read_f64_slice(unsigned base_vreg,
                                                    std::uint64_t count) const;
 
-  // ---- bulk element streams (unit-stride memory fast path) ----------------
-  // Move `vl` elements of width `ew_bytes` between a packed buffer (element
-  // order) and the mapped register file, equivalent to element-by-element
-  // read_elem/write_elem but served from the packed mirror when possible
-  // and otherwise walking the (row, lane) structure directly.
-  void write_stream(unsigned base_vreg, std::uint64_t vl, unsigned ew_bytes,
-                    const std::uint8_t* src);
-  void read_stream(unsigned base_vreg, std::uint64_t vl, unsigned ew_bytes,
-                   std::uint8_t* dst) const;
-
-  // ---- direct packed spans (bulk-arithmetic zero-copy path) ---------------
-  // Consecutive architectural registers are laid out consecutively in the
-  // packed mirror, so an LMUL group is a single contiguous element-order
-  // span once each register's mirror is valid at the requested width (the
-  // accessors adopt any register that isn't). Bulk arithmetic can then
-  // compute directly in the mirror instead of staging operands through
-  // scratch buffers.
-
-  /// Span covering `vl` elements of width `ew_bytes` from `base_vreg`,
-  /// valid until the next write to any covered register.
-  [[nodiscard]] const std::uint8_t* packed_read_span(unsigned base_vreg,
-                                                     std::uint64_t vl,
-                                                     unsigned ew_bytes) const;
-  /// Same span for writing `vl` elements; marks the covered registers
-  /// dirty at `ew_bytes`, so the caller is committed to writing all `vl`
-  /// elements. When `reads` is set the op also consumes the existing
-  /// destination elements, which are guaranteed present in the span (as
-  /// is the untouched tail of a partially covered final register).
-  [[nodiscard]] std::uint8_t* packed_write_span(unsigned base_vreg,
-                                                std::uint64_t vl,
-                                                unsigned ew_bytes, bool reads);
-
   // ---- mask registers ------------------------------------------------------
-  [[nodiscard]] bool mask_bit(unsigned vreg, std::uint64_t i) const;
-  void set_mask_bit(unsigned vreg, std::uint64_t i, bool value);
+  [[nodiscard]] bool mask_bit(unsigned vreg, std::uint64_t i) const {
+    return mask_bit_in(vreg, i, mask_layout_);
+  }
+  void set_mask_bit(unsigned vreg, std::uint64_t i, bool value) {
+    set_mask_bit_in(vreg, i, mask_layout_, value);
+  }
 
   /// Converts mask register `vreg` (first `bits` bits) between layouts —
   /// the reshuffle operation of paper §III-B.5. Returns the number of bits
@@ -162,50 +119,59 @@ class Vrf {
   [[nodiscard]] std::uint8_t lane_byte(unsigned cluster, unsigned lane,
                                        unsigned vreg, std::uint64_t offset) const;
 
-  [[nodiscard]] std::uint64_t total_bytes() const noexcept { return bytes_.size(); }
+  [[nodiscard]] std::uint64_t total_bytes() const noexcept { return image_.size(); }
 
  private:
-  /// Packed-mirror lifecycle per architectural register. kClean: mirror and
-  /// lane bytes agree. kDirty: the mirror holds newer data than the lane
-  /// bytes (a deferred transpose). kInvalid: lane bytes are authoritative.
-  enum class MirrorState : std::uint8_t { kInvalid, kClean, kDirty };
-
-  [[nodiscard]] std::size_t chunk_index(unsigned cluster, unsigned lane,
-                                        unsigned vreg, std::uint64_t offset) const {
-    debug_check(cluster < map_.topology().clusters &&
-                    lane < map_.topology().lanes && vreg < kNumVregs &&
-                    offset < map_.slice_bytes(),
-                "VRF index out of range");
-    const std::size_t lane_flat = cluster * map_.topology().lanes + lane;
-    return (lane_flat * kNumVregs + vreg) * map_.slice_bytes() + offset;
+  [[nodiscard]] std::uint8_t* group(unsigned base_vreg, std::uint64_t vl,
+                                    unsigned ew_bytes) const;
+  [[nodiscard]] std::uint8_t* elem(unsigned base_vreg, std::uint64_t idx,
+                                   unsigned ew_bytes) const {
+    const std::uint64_t at =
+        (std::uint64_t{base_vreg} << reg_shift_) + idx * ew_bytes;
+    check(at + ew_bytes <= image_.size(), "element index spills past v31");
+    const auto vreg = static_cast<unsigned>(at >> reg_shift_);
+    if (tag_[vreg] != ew_bytes) retag(vreg, ew_bytes);
+    return image_.data() + at;
+  }
+  /// Image index of byte `offset` of flat lane `lane`'s slice of `vreg`,
+  /// when the register's image has element width `ew_bytes`.
+  [[nodiscard]] std::size_t lane_index(unsigned vreg, std::uint64_t lane,
+                                       std::uint64_t offset,
+                                       unsigned ew_bytes) const {
+    const unsigned s = VrfMapping::ew_shift(ew_bytes);
+    const std::uint64_t elem = ((offset >> s) << lanes_shift_) + lane;
+    return (std::size_t{vreg} << reg_shift_) + (elem << s) +
+           (offset & (ew_bytes - 1));
+  }
+  /// Image byte and bit position of mask bit `i` of `vreg` under `layout`.
+  struct MaskPos {
+    std::size_t byte = 0;
+    unsigned bit = 0;
+  };
+  [[nodiscard]] MaskPos mask_pos(unsigned vreg, std::uint64_t i,
+                                 MaskLayout layout) const {
+    const MaskBitLoc loc = mask_bit_loc(map_, layout, i);
+    return {lane_index(vreg, loc.cluster * map_.topology().lanes + loc.lane,
+                       loc.byte_offset, tag_[vreg]),
+            loc.bit};
   }
   [[nodiscard]] bool mask_bit_in(unsigned vreg, std::uint64_t i,
-                                 MaskLayout layout) const;
-  void set_mask_bit_in(unsigned vreg, std::uint64_t i, MaskLayout layout, bool value);
-
-  /// Materializes a dirty mirror into the lane bytes. The inline wrapper
-  /// keeps the common no-op check out of the transpose path. Const because
-  /// flushing is observable only through timing, never through values —
-  /// read-side accessors must be able to trigger it.
-  void flush_mirror(unsigned vreg) const {
-    if (mirror_state_[vreg] == MirrorState::kDirty) flush_mirror_slow(vreg);
+                                 MaskLayout layout) const {
+    const MaskPos p = mask_pos(vreg, i, layout);
+    return ((image_[p.byte] >> p.bit) & 1u) != 0;
   }
-  void flush_mirror_slow(unsigned vreg) const;
-  /// Makes the mirror valid at `ew_bytes` (no-op when it already is):
-  /// flushes a dirty other-width mirror, then transposes the lane bytes
-  /// into packed order. One full-register transpose that every later
-  /// stream or span access to the register amortizes away.
-  void adopt_mirror(unsigned vreg, unsigned ew_bytes) const;
+  void set_mask_bit_in(unsigned vreg, std::uint64_t i, MaskLayout layout,
+                       bool value);
+  void retag(unsigned vreg, unsigned ew_bytes) const;
 
   VrfMapping map_;
   MaskLayout mask_layout_;
-  std::uint64_t reg_bytes_ = 0;  ///< bytes per architectural register
-  // Mutable: the mirror is a representation cache over the logical register
-  // contents; const readers may flush it without changing any value.
-  mutable std::vector<std::uint8_t> bytes_;
-  mutable std::vector<std::uint8_t> mirror_;
-  mutable std::array<MirrorState, kNumVregs> mirror_state_{};
-  mutable std::array<std::uint8_t, kNumVregs> mirror_ew_{};
+  unsigned reg_shift_ = 0;    ///< log2(bytes per architectural register)
+  unsigned lanes_shift_ = 0;  ///< log2(total lanes)
+  // Mutable: a retag changes the representation, never a value, so const
+  // readers may trigger one.
+  mutable std::vector<std::uint8_t> image_;
+  mutable std::array<std::uint8_t, kNumVregs> tag_{};
 };
 
 }  // namespace araxl

@@ -483,8 +483,8 @@ TEST(Memory, NegativeStride) {
 
 TEST(Memory, StrideZeroLoadBroadcastsAndStoreLastWins) {
   // stride 0 is legal RVV: every element reads (or writes) the same
-  // address. The bulk strided path must preserve the ascending-element
-  // order so the *last* element wins the store.
+  // address. Elements are applied in ascending order, so the *last*
+  // element wins the store.
   Machine m = small_machine();
   const std::uint64_t vl = 40;
   ProgramBuilder pb(m.config().effective_vlen(), "stride0");
@@ -526,48 +526,58 @@ TEST(Memory, OverlappingStridedStore) {
   }
 }
 
-TEST(Memory, BulkStridedMatchesPerElementPath) {
-  // Differential guard for the bulk constant-stride fast path: the same
-  // strided program run masked with an all-true v0 (which takes the
-  // per-element fallback) must leave identical architectural state.
-  const std::uint64_t vl = 60;
-  const std::int64_t stride = 24;
-  const auto build = [&](bool masked) {
-    ProgramBuilder pb(MachineConfig::araxl(8).effective_vlen(), "diff");
-    pb.vsetvli(vl, Sew::k64, kLmul1);
-    pb.vlse(8, kA + (vl - 1) * 8, -8);  // descending load
-    pb.vsse(8, kC, stride);
-    Program prog = pb.take();
-    if (masked) {
-      for (ProgOp& op : prog.ops) {
-        if (auto* in = std::get_if<VInstr>(&op)) {
-          if (in->op == Op::kVlse || in->op == Op::kVsse) in->masked = true;
-        }
-      }
-    }
-    return prog;
-  };
+TEST(Memory, StridedLoadFaultLoadsOnlyTheElementsBeforeIt) {
+  // Element k is the first whose access leaves memory: elements before it
+  // are loaded, vd keeps its old contents from k on, and the bounds error
+  // is raised.
+  Machine m = small_machine();
+  const std::uint64_t vl = 32;
+  const std::uint64_t k = 11;
+  const std::int64_t stride = 4096;
+  // Element k-1 ends exactly at the last byte of memory.
+  const std::uint64_t base = m.mem().size() - (k - 1) * stride - 8;
+  ProgramBuilder pb(m.config().effective_vlen(), "ldfault");
+  pb.vsetvli(vl, Sew::k64, kLmul1);
+  pb.vlse(8, base, stride);
+  const Program prog = pb.take();
+  for (std::uint64_t i = 0; i < k; ++i) {
+    m.mem().store<double>(base + i * stride, 100.0 + static_cast<double>(i));
+  }
+  const auto old = rnd(vl, 31);
+  fill_vreg(m, 8, old);
+  EXPECT_THROW(m.run(prog), ContractViolation);
+  for (std::uint64_t i = 0; i < vl; ++i) {
+    EXPECT_DOUBLE_EQ(m.vrf().read_f64(8, i),
+                     i < k ? 100.0 + static_cast<double>(i) : old[i])
+        << i;
+  }
+}
 
-  const auto run = [&](bool masked) {
-    auto m = std::make_unique<Machine>(MachineConfig::araxl(8));
-    m->mem().store_doubles(kA, rnd(vl, 23));
-    for (std::uint64_t i = 0; i < vl; ++i) m->vrf().set_mask_bit(0, i, true);
-    m->run(build(masked));
-    std::vector<double> out = m->vrf().read_f64_slice(8, vl);
-    for (std::uint64_t i = 0; i < vl; ++i) {
-      out.push_back(m->mem().load<double>(kC + static_cast<std::uint64_t>(
-                                                   static_cast<std::int64_t>(i) *
-                                                   stride)));
-    }
-    return out;
-  };
-  EXPECT_EQ(run(false), run(true));
+TEST(Memory, IndexedStoreFaultStoresOnlyTheElementsBeforeIt) {
+  // Index k points past the end of memory: elements before it are stored,
+  // memory for the elements from k on (in range again after k) is left
+  // untouched, and the bounds error is raised.
+  Machine m = small_machine();
+  const std::uint64_t vl = 24;
+  const std::uint64_t k = 9;
+  ProgramBuilder pb(m.config().effective_vlen(), "stfault");
+  pb.vsetvli(vl, Sew::k64, kLmul1);
+  pb.vsuxei(8, kC, 4);
+  const Program prog = pb.take();
+  const auto vals = rnd(vl, 32);
+  fill_vreg(m, 8, vals);
+  for (std::uint64_t i = 0; i < vl; ++i) {
+    m.vrf().write_elem(4, i, 8, i == k ? m.mem().size() : i * 8);
+    m.mem().store<double>(kC + i * 8, -1.0);
+  }
+  EXPECT_THROW(m.run(prog), ContractViolation);
+  for (std::uint64_t i = 0; i < vl; ++i) {
+    EXPECT_DOUBLE_EQ(m.mem().load<double>(kC + i * 8), i < k ? vals[i] : -1.0) << i;
+  }
 }
 
 TEST(Memory, StridedOutOfBoundsIsRejected) {
-  // A stride that escapes memory must fail the same way the per-element
-  // path always has (the bulk path falls back rather than mapping a bad
-  // window).
+  // A stride that escapes memory raises the bounds error.
   Machine m = small_machine();
   ProgramBuilder pb(m.config().effective_vlen(), "oob");
   pb.vsetvli(16, Sew::k64, kLmul1);

@@ -194,13 +194,12 @@ INSTANTIATE_TEST_SUITE_P(AllWidths, NarrowMem,
                            return std::string(sew_name(info.param));
                          });
 
-class BulkMaskedMem : public testing::TestWithParam<Sew> {};
+class MaskedUnitMem : public testing::TestWithParam<Sew> {};
 
-TEST_P(BulkMaskedMem, LoadMergesInactiveElements) {
-  // Masked unit-stride load through the bulk path (whole range in bounds):
-  // active elements come from memory, inactive ones keep the destination's
-  // prior (sentinel) contents — the load-merge the per-element path
-  // implements one element at a time.
+TEST_P(MaskedUnitMem, LoadMergesInactiveElements) {
+  // Masked unit-stride load (whole range in bounds): active elements come
+  // from memory, inactive ones keep the destination's prior (sentinel)
+  // contents.
   const Sew sew = GetParam();
   const unsigned ew = sew_bytes(sew);
   Machine m = small_machine();
@@ -230,7 +229,7 @@ TEST_P(BulkMaskedMem, LoadMergesInactiveElements) {
   }
 }
 
-TEST_P(BulkMaskedMem, StoreSkipsInactiveElements) {
+TEST_P(MaskedUnitMem, StoreSkipsInactiveElements) {
   const Sew sew = GetParam();
   const unsigned ew = sew_bytes(sew);
   Machine m = small_machine();
@@ -265,16 +264,16 @@ TEST_P(BulkMaskedMem, StoreSkipsInactiveElements) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllWidths, BulkMaskedMem,
+INSTANTIATE_TEST_SUITE_P(AllWidths, MaskedUnitMem,
                          testing::Values(Sew::k8, Sew::k16, Sew::k32, Sew::k64),
                          [](const testing::TestParamInfo<Sew>& info) {
                            return std::string(sew_name(info.param));
                          });
 
-TEST(BulkMaskedMemEdge, OobTailInactiveFallsBackToPerElement) {
-  // The whole-range bounds check fails (the tail runs past the end of
-  // memory), so the bulk path must decline and the per-element fallback —
-  // which never touches inactive addresses — must complete the access.
+TEST(MaskedUnitMemEdge, OobTailInactiveNeverFaults) {
+  // The range runs past the end of memory, but every element out there is
+  // inactive: inactive elements are never accessed, so the load completes
+  // without a fault.
   Machine m = small_machine();
   const std::uint64_t vl = 100;
   const std::uint64_t active_n = 40;
@@ -298,55 +297,6 @@ TEST(BulkMaskedMemEdge, OobTailInactiveFallsBackToPerElement) {
         << i;
   }
 }
-
-class NarrowFpBulk : public testing::TestWithParam<Sew> {};
-
-TEST_P(NarrowFpBulk, BulkMatchesPerElementBitForBit) {
-  // Differential check of the narrow-SEW bulk FP path against the
-  // per-element path: a masked op with an all-ones mask computes the same
-  // elements but is routed per element (the bulk path declines masked
-  // shapes), so the two destinations must agree bit for bit.
-  const Sew sew = GetParam();
-  const unsigned ew = sew_bytes(sew);
-  Machine m = small_machine();
-  const std::uint64_t vl = 157;
-  ProgramBuilder pb(m.config().effective_vlen(), "nfpbulk");
-  pb.vsetvli(vl, sew, kLmul2);
-  pb.vfmul_vv(16, 8, 12);                   // bulk
-  pb.vfmul_vv(20, 8, 12, /*masked=*/true);  // per-element (all-ones mask)
-  pb.vfadd_vf(24, 16, 0.333333);
-  pb.vfadd_vf(28, 20, 0.333333, /*masked=*/true);
-  pb.vfmacc_vv(16, 8, 12);
-  pb.vfmacc_vv(20, 8, 12, /*masked=*/true);
-  const Program prog = pb.take();
-  Rng rng(49);
-  for (std::uint64_t i = 0; i < vl; ++i) {
-    // Random element bit patterns: covers subnormals, NaNs, infinities.
-    const std::uint64_t mask = ew >= 8 ? ~0ull : ((1ull << (8 * ew)) - 1);
-    const std::uint64_t bits =
-        (rng.next_below(1u << 16) | (std::uint64_t{rng.next_below(1u << 16)} << 16) |
-         (std::uint64_t{rng.next_below(1u << 16)} << 32) |
-         (std::uint64_t{rng.next_below(1u << 16)} << 48)) & mask;
-    m.vrf().write_elem(8, i, ew, bits);
-    m.vrf().write_elem(12, i, ew, bits ^ (mask >> 1));
-    m.vrf().write_elem(16, i, ew, 0);
-    m.vrf().write_elem(20, i, ew, 0);
-    m.vrf().set_mask_bit(0, i, true);
-  }
-  m.run(prog);
-  for (std::uint64_t i = 0; i < vl; ++i) {
-    EXPECT_EQ(m.vrf().read_elem(16, i, ew), m.vrf().read_elem(20, i, ew))
-        << "vfmacc i=" << i;
-    EXPECT_EQ(m.vrf().read_elem(24, i, ew), m.vrf().read_elem(28, i, ew))
-        << "vfadd i=" << i;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(NarrowWidths, NarrowFpBulk,
-                         testing::Values(Sew::k16, Sew::k32),
-                         [](const testing::TestParamInfo<Sew>& info) {
-                           return std::string(sew_name(info.param));
-                         });
 
 TEST(Binary16, ConversionSpecialsRoundTrip) {
   // The SEW=16 FP path converts binary16 -> double, computes, and rounds

@@ -2,6 +2,10 @@
 // (§III-B.5), physical storage, and the reshuffle operation.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstring>
+#include <vector>
+
 #include "vrf/vrf.hpp"
 
 namespace araxl {
@@ -162,6 +166,81 @@ TEST(Vrf, ReshuffleConvertsLayouts) {
     const bool bit =
         (vrf.lane_byte(loc.cluster, loc.lane, 7, loc.byte_offset) >> loc.bit) & 1;
     EXPECT_EQ(bit, (i * 7) % 5 < 2) << i;
+  }
+}
+
+// A 4-lane register of 1024 bits: each lane holds a 32-byte slice, and
+// element j at width w sits in lane j mod 4 at byte offset (j div 4) * w.
+constexpr unsigned kLanes4 = 4;
+constexpr std::uint64_t kSlice4 = 32;
+
+/// Byte b of the double written as element j below.
+std::uint8_t pattern_byte(std::uint64_t j, unsigned b) {
+  return static_cast<std::uint8_t>(j * 8 + b + 1);
+}
+
+TEST(Vrf, CrossWidthReadsFollowTheLaneMapping) {
+  // Doubles written at width 8 and read back at widths 4 and 1 return the
+  // lane bytes the mapping puts at each narrower element, not the
+  // doubles' element-order bytes.
+  Vrf vrf(Topology{1, kLanes4}, 1024, MaskLayout::kLaneLocal);
+  std::vector<std::uint8_t> lanes(kLanes4 * kSlice4);
+  for (std::uint64_t j = 0; j < 16; ++j) {
+    std::uint64_t bits = 0;
+    for (unsigned b = 0; b < 8; ++b) {
+      bits |= std::uint64_t{pattern_byte(j, b)} << (8 * b);
+      lanes[(j % kLanes4) * kSlice4 + (j / kLanes4) * 8 + b] = pattern_byte(j, b);
+    }
+    vrf.write_f64(5, j, std::bit_cast<double>(bits));
+  }
+  for (const unsigned w : {4u, 1u}) {
+    for (std::uint64_t j = 0; j < 128 / w; ++j) {
+      std::uint64_t want = 0;
+      for (unsigned b = 0; b < w; ++b) {
+        want |= std::uint64_t{lanes[(j % kLanes4) * kSlice4 + (j / kLanes4) * w + b]}
+                << (8 * b);
+      }
+      EXPECT_EQ(vrf.read_elem(5, j, w), want) << "w=" << w << " j=" << j;
+    }
+  }
+  for (std::uint64_t j = 0; j < 16; ++j) {  // and back at width 8
+    EXPECT_EQ(vrf.read_elem(5, j, 8) & 0xFF, pattern_byte(j, 0)) << j;
+  }
+}
+
+TEST(Vrf, GroupWrittenThroughSpanLandsInMappedLanes) {
+  // An LMUL=2 group written through one span lands, register by register,
+  // at the lane bytes the mapping names.
+  Vrf vrf(Topology{1, kLanes4}, 1024, MaskLayout::kLaneLocal);
+  const std::uint64_t per_reg = 32;  // 4-byte elements per 128-byte register
+  std::uint8_t* img = vrf.span(8, 2 * per_reg, 4);
+  for (std::uint64_t j = 0; j < 2 * per_reg; ++j) {
+    const std::uint32_t v = 0xA0B0C000u + static_cast<std::uint32_t>(j);
+    std::memcpy(img + j * 4, &v, 4);
+  }
+  for (std::uint64_t j = 0; j < 2 * per_reg; ++j) {
+    const std::uint32_t v = 0xA0B0C000u + static_cast<std::uint32_t>(j);
+    const auto reg = static_cast<unsigned>(8 + j / per_reg);
+    const std::uint64_t jj = j % per_reg;
+    for (unsigned b = 0; b < 4; ++b) {
+      EXPECT_EQ(vrf.lane_byte(0, static_cast<unsigned>(jj % kLanes4), reg,
+                              (jj / kLanes4) * 4 + b),
+                static_cast<std::uint8_t>(v >> (8 * b)))
+          << "j=" << j << " b=" << b;
+    }
+  }
+}
+
+TEST(Vrf, MaskBitsSurviveAWidthChange) {
+  // Reading a mask register as data at another width changes how it is
+  // stored, never its lane bytes, so every mask bit reads back unchanged.
+  for (const MaskLayout layout : {MaskLayout::kLaneLocal, MaskLayout::kStandard}) {
+    Vrf vrf(Topology{2, 4}, 8192, layout);
+    for (std::uint64_t i = 0; i < 8192; ++i) vrf.set_mask_bit(3, i, (i * 7) % 5 < 2);
+    static_cast<void>(vrf.span(3, 512, 2));
+    for (std::uint64_t i = 0; i < 8192; ++i) {
+      EXPECT_EQ(vrf.mask_bit(3, i), (i * 7) % 5 < 2) << i;
+    }
   }
 }
 
