@@ -133,75 +133,6 @@ std::size_t phase_super_period(const Program& prog, const LoopRegion& region,
   return m;
 }
 
-LoopNest find_loop_nest(const Program& prog, const LoopRegion& region) {
-  const std::size_t p = region.period;
-  LoopNest nest;
-  if (p == 0) return nest;
-  bool have_class = false;
-  for (std::size_t c = 0; c < p; ++c) {
-    const std::size_t first = region.start + c;
-    if (first >= region.end) break;
-    const auto* in = std::get_if<VInstr>(&prog.ops[first]);
-    if (in == nullptr) continue;
-    if (in->op != Op::kVle && in->op != Op::kVse && in->op != Op::kVlse &&
-        in->op != Op::kVsse) {
-      continue;
-    }
-    // Per-period address deltas of this position class.
-    std::vector<std::uint64_t> d;
-    for (std::size_t i = first; i + p < region.end; i += p) {
-      const auto& a = std::get<VInstr>(prog.ops[i]);
-      const auto& b = std::get<VInstr>(prog.ops[i + p]);
-      d.push_back(b.addr - a.addr);  // wrap-safe: compared for equality only
-    }
-    if (d.empty()) continue;
-    bool constant = true;
-    for (const std::uint64_t v : d) constant = constant && v == d[0];
-    if (constant) continue;  // 1D stream riding inside the nest
-    // Exactly two delta values: a majority "row step" and a minority "jump".
-    std::uint64_t u = d[0];
-    std::uint64_t v = 0;
-    bool have_v = false;
-    std::size_t cu = 0;
-    std::size_t cv = 0;
-    for (const std::uint64_t x : d) {
-      if (x == u) {
-        ++cu;
-      } else if (!have_v || x == v) {
-        v = x;
-        have_v = true;
-        ++cv;
-      } else {
-        return LoopNest{};  // three distinct deltas: not a two-level nest
-      }
-    }
-    if (cu == cv) return LoopNest{};  // ambiguous which value is the jump
-    const std::uint64_t jump = cu > cv ? v : u;
-    std::vector<std::size_t> jumps;
-    for (std::size_t q = 0; q < d.size(); ++q) {
-      if (d[q] == jump) jumps.push_back(q);
-    }
-    if (jumps.size() < 2) return LoopNest{};  // can't establish periodicity
-    const std::size_t r = jumps[1] - jumps[0];
-    if (r < 2) return LoopNest{};
-    for (std::size_t j = 1; j < jumps.size(); ++j) {
-      if (jumps[j] - jumps[j - 1] != r) return LoopNest{};
-    }
-    // The window before the first jump and after the last must also fit the
-    // period, or the jumps are not actually periodic over the region.
-    if (jumps[0] >= r || d.size() - 1 - jumps.back() >= r) return LoopNest{};
-    const std::size_t phase = jumps[0] % r;
-    if (have_class && (nest.outer_period != r || nest.phase != phase)) {
-      return LoopNest{};  // classes disagree on the outer loop
-    }
-    nest.outer_period = r;
-    nest.phase = phase;
-    have_class = true;
-  }
-  nest.valid = have_class;
-  return nest;
-}
-
 ProgramBuilder::ProgramBuilder(std::uint64_t vlen_bits, std::string name)
     : vlen_bits_(vlen_bits) {
   check(is_pow2(vlen_bits) && vlen_bits >= 64 && vlen_bits <= kMaxVlenBits,

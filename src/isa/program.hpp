@@ -104,30 +104,6 @@ struct LoopRegion {
                                              const LoopRegion& region,
                                              std::uint64_t bus_bytes);
 
-/// Two-level loop structure detected inside a LoopRegion: the region's
-/// period is the *inner* loop body, and every `outer_period` inner
-/// iterations the bounded-memory address deltas take one irregular "jump"
-/// (a row boundary of a 2D stencil / tiled kernel). `phase` locates the
-/// jump within the outer period: the delta entering inner iteration q
-/// (from iteration q-1) is a jump iff (q - 1) % outer_period == phase.
-/// Invalid when the region's address walk is a plain single-level
-/// progression (no jumps) or the jumps are not themselves periodic.
-struct LoopNest {
-  bool valid = false;
-  std::size_t outer_period = 0;  ///< inner iterations per outer iteration
-  std::size_t phase = 0;         ///< jump offset within the outer period
-};
-
-/// Detects a two-level nest from the bounded-memory address walk of
-/// `region` over `prog`. Each bounded mem op position class (op index mod
-/// period) contributes its per-period address deltas; the nest is valid
-/// only if every class with non-constant deltas jumps at the same
-/// (outer_period, phase) with ≥2 jumps and constant values between/at
-/// jumps. Classes with constant deltas are unconstrained (1D streams
-/// riding inside the nest).
-[[nodiscard]] LoopNest find_loop_nest(const Program& prog,
-                                      const LoopRegion& region);
-
 /// Fluent, validating builder for Programs.
 ///
 /// The builder tracks the current vtype/vl the way the hardware would, so

@@ -67,12 +67,9 @@ struct Inflight {
   LaggedCounter hist;          ///< produced-count history for consumers
   std::uint64_t rate_acc = 0;  ///< fractional-throughput accumulator (x256)
 
-  // Stall attribution (FPU-unit instructions only). `tape` mirrors every
-  // `hist` record without the ring's eviction so the attributor can evaluate
-  // per-cycle production inside arbitrarily long wakeup windows; `stall_acc`
-  // accumulates the byte-slots charged while this instruction was the acting
-  // head (or the blamed queue front), feeding the trace-span annotation.
-  ProdTape tape;
+  // Stall attribution: byte-slots charged while this instruction was the
+  // acting FPU head (or the blamed queue front), feeding the trace-span
+  // annotation. Per-cycle production comes from `hist`.
   std::array<std::uint64_t, kNumStallReasons> stall_acc{};
 
   // Memory transfer state (loads/stores).
@@ -113,7 +110,6 @@ struct Inflight {
     produced = 0;
     hist.clear();
     rate_acc = 0;
-    tape.clear();
     stall_acc.fill(0);
     bytes_total = bytes_done = head_skew = 0;
     red_phase = RedPhase::kIntraLane;

@@ -51,7 +51,12 @@ TimingEngine::TimingEngine(const MachineConfig& cfg, FunctionalEngine& fn,
       ispec_(cfg.interconnect()),
       reqi_(ispec_), glsu_(ispec_), ring_(ispec_), lanes_(cfg), cva6_(cfg),
       watchdog_(cfg.watchdog_budget == 0 ? WakeupWatchdog::kDefaultBudget
-                                         : cfg.watchdog_budget) {}
+                                         : cfg.watchdog_budget) {
+  for (std::size_t u = 1; u < kNumUnits; ++u) {
+    max_chain_lag_ = std::max<Cycle>(max_chain_lag_,
+                                     lanes_.chain_lag(static_cast<Unit>(u)));
+  }
+}
 
 void EngineInstruments::bind(obs::MetricsRegistry* reg) {
   if (reg == registry) return;
@@ -270,7 +275,6 @@ void TimingEngine::advance_arith(Cycle t, Inflight& instr) {
   if (instr.produced == 0) instr.first_result_at = t;
   instr.produced += adv;
   instr.hist.record(t, instr.produced);
-  if (instr.unit == Unit::kFpu) instr.tape.record(t, instr.produced);
   account(instr.unit, instr, adv);
   if (instr.finished_producing()) finish_producing(t, instr);
 }
@@ -396,10 +400,10 @@ void TimingEngine::retire(Cycle t) {
         // Production at the retire cycle itself has not been attributed yet
         // (attribute_range runs after step_cycle); with a zero FPU chain lag
         // the instruction can produce and retire in the same cycle, taking
-        // its tape with it. Park those byte-slots so the next attribution
+        // its history with it. Park those byte-slots so the next attribution
         // keeps the partition total. (Unreachable with default latencies.)
-        const std::uint64_t at_t = instr.tape.value_at(t);
-        const std::uint64_t before = t == 0 ? 0 : instr.tape.value_at(t - 1);
+        const std::uint64_t at_t = instr.hist.value_at(t);
+        const std::uint64_t before = t == 0 ? 0 : instr.hist.value_at(t - 1);
         retired_busy_pending_ += fpu_slot_width(instr) * (at_t - before);
       }
       if (trace_ != nullptr) {
@@ -642,7 +646,8 @@ void TimingEngine::tick_cva6(Cycle t) {
 // first_result_at are written once, so "set and <= u" evaluates the same on
 // the oracle's online state and the event engine's fast-forwarded state),
 // and per-cycle FPU production is replayed exactly from the instruction's
-// ProdTape (an eviction-free mirror of its LaggedCounter history).
+// LaggedCounter history (the same one chained consumers read; each
+// attribute_range call prunes it to what later steps can still query).
 
 unsigned TimingEngine::fpu_slot_width(const Inflight& instr) {
   unsigned ew = instr.ew;
@@ -796,10 +801,10 @@ void TimingEngine::attribute_piece(Cycle x, Cycle y, Inflight* acting) {
 
   Inflight& in = *acting;
   const unsigned sw = fpu_slot_width(in);
-  // Production in [p, q] from the eviction-free tape (byte-slots).
+  // Production in [p, q] from the production history (byte-slots).
   auto prod = [&](Cycle p, Cycle q) {
-    const std::uint64_t hi = in.tape.value_at(q);
-    const std::uint64_t lo = p == 0 ? 0 : in.tape.value_at(p - 1);
+    const std::uint64_t hi = in.hist.value_at(q);
+    const std::uint64_t lo = p == 0 ? 0 : in.hist.value_at(p - 1);
     return static_cast<std::uint64_t>(sw) * (hi - lo);
   };
   // (1) fixed unit start-up latency before the first possible result.
@@ -857,7 +862,13 @@ void TimingEngine::attribute_range(Cycle a, Cycle b) {
     attribute_piece(u, end, acting);
     u = end + 1;
   }
-  for (const std::uint32_t slot : fq) pool_.at(slot).tape.prune(b);
+  // Later steps read histories no earlier than b + 1 - max_chain_lag_ (a
+  // chained read at b + 1; max_chain_lag_ >= 1 also covers the reads at b
+  // by the next range and by a retire-cycle production check).
+  const Cycle through = b + 1 > max_chain_lag_ ? b + 1 - max_chain_lag_ : 0;
+  for (const auto& q : unitq_) {
+    for (const std::uint32_t slot : q) pool_.at(slot).hist.prune(through);
+  }
   debug_check(retired_busy_pending_ == 0,
               "retired FPU production not absorbed by attribution");
 }

@@ -146,6 +146,11 @@ class TimingEngine {
   void advance_span_arith(Inflight& instr, Cycle from, Cycle to);
   void advance_span_load(Inflight& instr, Cycle from, Cycle to);
   void advance_span_store(Inflight& instr, Cycle from, Cycle to);
+  /// Per-cycle fallback for the corners the closed forms do not cover
+  /// (fractional rates chained onto live producers): replays the shared
+  /// advance function cycle by cycle over [from, to], parking after a long
+  /// idle stretch in an unbounded window.
+  void replay_span(Inflight& instr, Cycle from, Cycle to);
 
   // -- steady-state loop batching ---------------------------------------------
   //
@@ -301,6 +306,10 @@ class TimingEngine {
   RingModel ring_;
   LaneGroupModel lanes_;
   Cva6Model cva6_;
+  /// Largest chaining lag over all units (at least 1): how far back of the
+  /// current cycle any history query can reach, which bounds the pruning
+  /// in attribute_range.
+  Cycle max_chain_lag_ = 1;
   RunStats stats_{};
 
   const Program* prog_ = nullptr;

@@ -9,7 +9,8 @@
 //      start latencies;
 //   2. fast-forwards every unit head across the gap with closed-form
 //      multi-cycle advancement (piecewise-linear pursuit of the chaining
-//      caps), recording compressed segments in each LaggedCounter;
+//      caps), recording compressed segments in each head's production
+//      history (LaggedCounter);
 //      completions discovered on queue fronts shrink the window;
 //   3. accrues CVA6 stall counters in bulk (the stall cause can only
 //      change at a wakeup) and jumps t to the horizon.
@@ -107,8 +108,8 @@ RunStats TimingEngine::run_event_driven(const Program& prog) {
       if (metrics_ != nullptr) metrics_account_units(t + 1, skipped);
       // Same argument for the stall taxonomy: classification inputs are
       // window-constant (or monotone-stable), and per-cycle production is
-      // replayed from the heads' tapes — bit-identical to the oracle's
-      // per-cycle attribution of the same span.
+      // replayed from the heads' production histories — bit-identical to
+      // the oracle's per-cycle attribution of the same span.
       attribute_range(t + 1, wend_excl - 1);
     }
     t = wend_excl;
@@ -238,6 +239,28 @@ void TimingEngine::advance_span(Inflight& instr, Cycle from, Cycle to) {
   }
 }
 
+void TimingEngine::replay_span(Inflight& instr, Cycle from, Cycle to) {
+  // Progress is bytes for a streaming store and elements otherwise; the
+  // sum tracks either (the other term stays constant).
+  Cycle idle_since = from;
+  for (Cycle u = from; to == kNeverCycle || u <= to; ++u) {
+    const std::uint64_t before = instr.produced + instr.bytes_done;
+    if (instr.unit == Unit::kStore) {
+      advance_store(u, instr);
+    } else {
+      advance_arith(u, instr);
+    }
+    instr.advanced_until = u;
+    if (instr.finished_producing()) return;
+    if (instr.produced + instr.bytes_done != before) idle_since = u;
+    // In an unbounded window every producer history has already been
+    // extended to its end; after a long idle stretch (far beyond any
+    // accumulator period or chaining lag) no further progress can come
+    // from inside the window — park until an outside event.
+    if (to == kNeverCycle && u - idle_since > 4096) return;
+  }
+}
+
 TimingEngine::CapLine TimingEngine::dep_cap(const Dep& d, const Inflight& c,
                                             Cycle u) const {
   const Inflight* p = pool_.get(d.slot, d.producer);
@@ -349,15 +372,8 @@ void TimingEngine::advance_span_arith(Inflight& instr, Cycle from, Cycle to) {
         if (hold >= from) {
           instr.hist.record_ramp(from, v1, r256, 256, (acc0 + r256) & 0xFF,
                                  hold);
-          if (instr.unit == Unit::kFpu) {
-            instr.tape.record_ramp(from, v1, r256, 256, (acc0 + r256) & 0xFF,
-                                   hold);
-          }
         }
-        if (end == t_fin) {
-          instr.hist.record(t_fin, instr.vl);
-          if (instr.unit == Unit::kFpu) instr.tape.record(t_fin, instr.vl);
-        }
+        if (end == t_fin) instr.hist.record(t_fin, instr.vl);
         account(instr.unit, instr, total - p0);
         instr.produced = total;
       }
@@ -366,22 +382,9 @@ void TimingEngine::advance_span_arith(Inflight& instr, Cycle from, Cycle to) {
       if (instr.finished_producing()) finish_producing(end, instr);
       return;
     }
-    // Fractional rate chained onto live producers: exact per-cycle replay
-    // of the shared advance function (rare: divider consuming in-flight
-    // results).
-    Cycle idle_since = from;
-    for (Cycle u = from; to == kNeverCycle || u <= to; ++u) {
-      const std::uint64_t before = instr.produced;
-      advance_arith(u, instr);
-      instr.advanced_until = u;
-      if (instr.finished_producing()) return;
-      if (instr.produced != before) idle_since = u;
-      // In an unbounded window every producer history has already been
-      // extended to its end; after a long idle stretch (far beyond any
-      // accumulator period or chaining lag) no further progress can come
-      // from inside the window — park until an outside event.
-      if (to == kNeverCycle && u - idle_since > 4096) return;
-    }
+    // Fractional rate chained onto live producers (rare: divider consuming
+    // in-flight results).
+    replay_span(instr, from, to);
     return;
   }
 
@@ -393,15 +396,7 @@ void TimingEngine::advance_span_arith(Inflight& instr, Cycle from, Cycle to) {
     const CapLine cap = combined_cap(instr, u1, to);
     if (cap.fractional) {
       // Producer history with a fractional segment: replay the remainder.
-      Cycle idle_since = u1;
-      for (Cycle u = u1; to == kNeverCycle || u <= to; ++u) {
-        const std::uint64_t before = instr.produced;
-        advance_arith(u, instr);
-        instr.advanced_until = u;
-        if (instr.finished_producing()) return;
-        if (instr.produced != before) idle_since = u;
-        if (to == kNeverCycle && u - idle_since > 4096) return;
-      }
+      replay_span(instr, u1, to);
       return;
     }
 
@@ -462,19 +457,12 @@ void TimingEngine::advance_span_arith(Inflight& instr, Cycle from, Cycle to) {
       }
       if (sb == 0) {
         instr.hist.record(u1, total);
-        if (instr.unit == Unit::kFpu) instr.tape.record(u1, total);
       } else {
         const Cycle hold = finished ? fin_at - 1 : seg_end;
         if (hold >= u1 && vb + sb * (hold - u1) > instr.produced) {
           instr.hist.record_ramp(u1, vb, sb, 1, 0, hold);
-          if (instr.unit == Unit::kFpu) {
-            instr.tape.record_ramp(u1, vb, sb, 1, 0, hold);
-          }
         }
-        if (finished) {
-          instr.hist.record(fin_at, instr.vl);
-          if (instr.unit == Unit::kFpu) instr.tape.record(fin_at, instr.vl);
-        }
+        if (finished) instr.hist.record(fin_at, instr.vl);
       }
       account(instr.unit, instr, total - instr.produced);
       instr.produced = total;
@@ -544,15 +532,7 @@ void TimingEngine::advance_span_store(Inflight& instr, Cycle from, Cycle to) {
     const Cycle u1 = cur + 1;
     const CapLine cap = combined_cap(instr, u1, to);
     if (cap.fractional) {
-      Cycle idle_since = u1;
-      for (Cycle u = u1; to == kNeverCycle || u <= to; ++u) {
-        const std::uint64_t before = instr.bytes_done;
-        advance_store(u, instr);
-        instr.advanced_until = u;
-        if (instr.bytes_done >= raw) return;
-        if (instr.bytes_done != before) idle_since = u;
-        if (to == kNeverCycle && u - idle_since > 4096) return;
-      }
+      replay_span(instr, u1, to);
       return;
     }
 
@@ -895,28 +875,16 @@ void TimingEngine::prepare_loop_batching() {
       }
     }
 
-    // Static rejection telemetry: a genuine barrier that does not sit on a
-    // detected nested-loop boundary means some op's address walk is
-    // aperiodic — the region can never batch across it and the runtime
-    // path never revisits dead boundaries (see the loop_checkpoint
-    // early-out), so count the progression failure once up front. Barriers
-    // that *are* the nest's outer-loop boundaries are expected: they clamp
-    // batches at row ends (counted per engage as batch_clamps).
-    bool genuine_non_nest = false;
-    LoopNest nest;
-    bool nest_computed = false;
-    for (std::size_t q = 1; q < num_periods && !genuine_non_nest; ++q) {
-      if ((flags[q] & 2) == 0) continue;
-      if (!nest_computed) {
-        nest = find_loop_nest(*prog_, r);
-        nest_computed = true;
+    // Static rejection telemetry: a genuine barrier past the first period
+    // breaks some op's address progression there. No batch can dispatch
+    // across it (replay_periods clamps K short of it; each clamped engage
+    // counts in batch_clamps), so count the progression failure once per
+    // region, up front.
+    for (std::size_t q = 1; q < num_periods; ++q) {
+      if ((flags[q] & 2) != 0) {
+        count_batch_reject(BatchReject::kAddrProgression, 0);
+        break;
       }
-      if (!nest.valid || (q - 1) % nest.outer_period != nest.phase) {
-        genuine_non_nest = true;
-      }
-    }
-    if (genuine_non_nest) {
-      count_batch_reject(BatchReject::kAddrProgression, 0);
     }
   }
 
@@ -1288,7 +1256,6 @@ void TimingEngine::apply_batch(const LoopRegion& r, std::uint64_t k, Cycle d,
       shift_cycle(instr.projected_done);
       shift_cycle(instr.red_phase_end);
       instr.hist.shift_time(shift);
-      instr.tape.shift_time(shift);
     }
   }
   for (Pending& p : seq_) {

@@ -1,17 +1,9 @@
-// Latency/queue building blocks for the interconnect models.
-//
-// `DelayLine` models a fixed-latency pipelined channel (one push per cycle,
-// items pop `latency` cycles later).  `BoundedQueue` models an elastic
-// buffer with backpressure.  Both are deliberately simple value types; the
-// timing engine advances them explicitly each cycle.
+// Produced-count history of one in-flight instruction.
 #ifndef ARAXL_SIM_PIPE_HPP
 #define ARAXL_SIM_PIPE_HPP
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <optional>
-#include <utility>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -19,89 +11,10 @@
 
 namespace araxl {
 
-/// Fixed-latency pipelined channel. Fully elastic in occupancy (it models a
-/// register chain, one slot per cycle of latency is never exceeded because
-/// the caller pushes at most once per cycle).
-template <typename T>
-class DelayLine {
- public:
-  explicit DelayLine(Cycle latency) : latency_(latency) {}
-
-  /// Latency in cycles between push and availability.
-  [[nodiscard]] Cycle latency() const noexcept { return latency_; }
-  void set_latency(Cycle latency) noexcept { latency_ = latency; }
-
-  /// Enqueues `item` at time `now`; it becomes poppable at `now + latency`.
-  void push(Cycle now, T item) { items_.emplace_back(now + latency_, std::move(item)); }
-
-  /// True iff the head item has matured at time `now`.
-  [[nodiscard]] bool ready(Cycle now) const {
-    return !items_.empty() && items_.front().first <= now;
-  }
-
-  /// Pops the head item; precondition: ready(now).
-  T pop(Cycle now) {
-    check(ready(now), "DelayLine::pop on non-ready channel");
-    T item = std::move(items_.front().second);
-    items_.pop_front();
-    return item;
-  }
-
-  [[nodiscard]] bool empty() const noexcept { return items_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return items_.size(); }
-
- private:
-  Cycle latency_;
-  std::deque<std::pair<Cycle, T>> items_;
-};
-
-/// FIFO with a capacity bound; `try_push` fails (backpressure) when full.
-template <typename T>
-class BoundedQueue {
- public:
-  explicit BoundedQueue(std::size_t capacity) : capacity_(capacity) {
-    check(capacity_ > 0, "queue capacity must be positive");
-  }
-
-  [[nodiscard]] bool full() const noexcept { return items_.size() >= capacity_; }
-  [[nodiscard]] bool empty() const noexcept { return items_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return items_.size(); }
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-
-  /// Pushes if space is available; returns false when full.
-  [[nodiscard]] bool try_push(T item) {
-    if (full()) return false;
-    items_.push_back(std::move(item));
-    return true;
-  }
-
-  /// Reference to the oldest element; precondition: !empty().
-  [[nodiscard]] T& front() {
-    check(!empty(), "front() on empty queue");
-    return items_.front();
-  }
-  [[nodiscard]] const T& front() const {
-    check(!empty(), "front() on empty queue");
-    return items_.front();
-  }
-
-  void pop() {
-    check(!empty(), "pop() on empty queue");
-    items_.pop_front();
-  }
-
-  /// Iteration support (e.g. for hazard scans over queued instructions).
-  [[nodiscard]] auto begin() const noexcept { return items_.begin(); }
-  [[nodiscard]] auto end() const noexcept { return items_.end(); }
-
- private:
-  std::size_t capacity_;
-  std::deque<T> items_;
-};
-
-/// Tracks recent samples of a monotonically increasing counter so a
-/// consumer can ask "what was the producer's count `lag` cycles ago?" —
-/// the mechanism behind result-latency-aware operand chaining.
+/// History of a monotonically increasing counter, so a consumer can ask
+/// "what was the producer's count `lag` cycles ago?" — the mechanism behind
+/// result-latency-aware operand chaining — and the stall attributor can ask
+/// how many results existed at any cycle of an attribution window.
 ///
 /// The cycle-stepped engine records one (cycle, value) change point per
 /// advancing cycle.  The event-driven engine instead records *piecewise-
@@ -109,13 +22,14 @@ class BoundedQueue {
 /// the counter grew at a constant (possibly fractional num/den) rate, and
 /// `value_at_lag` interpolates inside the segment with the same integer
 /// floor arithmetic the per-cycle path would have produced.  Both entry
-/// kinds coexist in one ring of up to kDepth entries; since segments
-/// compress long runs, the retained history always covers the single-digit
-/// chaining lags consumers ask about.
+/// kinds coexist in one list.
+///
+/// Nothing is forgotten implicitly: entries stay until `prune(through)`,
+/// the owner's promise that no later query asks about a cycle before
+/// `through`. The timing engine prunes every in-flight history after each
+/// attribution step, which keeps the live list a handful of entries long.
 class LaggedCounter {
  public:
-  static constexpr std::size_t kDepth = 64;
-
   /// Normalized view of the segment covering one query cycle, for
   /// closed-form consumers (the event engine's bulk advancement).
   struct Piece {
@@ -127,20 +41,22 @@ class LaggedCounter {
     Cycle change_at = kNeverCycle;  ///< first cycle a newer entry takes over
   };
 
+  /// Empties the history, keeping the storage (recycled Inflight slots
+  /// allocate nothing).
   void clear() noexcept {
+    entries_.clear();
     head_ = 0;
-    count_ = 0;
   }
 
   /// Records the counter value at cycle `now` (non-decreasing in both).
   void record(Cycle now, std::uint64_t value) {
-    debug_check(count_ == 0 || value >= latest(), "counter must be monotonic");
-    debug_check(count_ == 0 || now >= newest().hold, "time must be monotonic");
-    if (count_ > 0 && newest().start == now && newest().hold == now) {
-      newest() = Entry{now, value, 0, 1, 0, now};
+    debug_check(empty() || value >= latest(), "counter must be monotonic");
+    debug_check(empty() || now >= entries_.back().hold, "time must be monotonic");
+    if (!empty() && entries_.back().start == now && entries_.back().hold == now) {
+      entries_.back() = Entry{now, value, 0, 1, 0, now};
       return;
     }
-    push(Entry{now, value, 0, 1, 0, now});
+    entries_.push_back(Entry{now, value, 0, 1, 0, now});
   }
 
   /// Records a linear segment: for cycles w in [start, hold] the counter
@@ -150,25 +66,25 @@ class LaggedCounter {
                    std::uint64_t den, std::uint64_t acc, Cycle hold) {
     debug_check(den > 0 && acc < den, "ramp accumulator out of range");
     debug_check(hold >= start, "ramp must cover at least one cycle");
-    debug_check(count_ == 0 || v0 >= latest(), "counter must be monotonic");
-    debug_check(count_ == 0 || start > newest().hold, "time must be monotonic");
-    if (count_ > 0) {
-      // Extend a contiguous integer-slope run in place (keeps the ring
+    debug_check(empty() || v0 >= latest(), "counter must be monotonic");
+    debug_check(empty() || start > entries_.back().hold, "time must be monotonic");
+    if (!empty()) {
+      // Extend a contiguous integer-slope run in place (keeps the history
       // compact across fast-forward windows).
-      Entry& n = newest();
+      Entry& n = entries_.back();
       if (n.den == 1 && den == 1 && n.num == num && start == n.hold + 1 &&
           v0 == eval(n, n.hold) + num) {
         n.hold = hold;
         return;
       }
     }
-    push(Entry{start, v0, num, den, acc, hold});
+    entries_.push_back(Entry{start, v0, num, den, acc, hold});
   }
 
   /// Value the counter had at (absolute) cycle `when`; 0 before history.
   [[nodiscard]] std::uint64_t value_at(Cycle when) const {
-    for (std::size_t k = count_; k-- > 0;) {
-      const Entry& e = ring_[(head_ + k) % kDepth];
+    for (std::size_t k = entries_.size(); k-- > head_;) {
+      const Entry& e = entries_[k];
       if (e.start <= when) return eval(e, when);
     }
     return 0;
@@ -182,12 +98,11 @@ class LaggedCounter {
 
   /// Segment view at `when` for closed-form consumers.
   [[nodiscard]] Piece piece_at(Cycle when) const {
-    for (std::size_t k = count_; k-- > 0;) {
-      const Entry& e = ring_[(head_ + k) % kDepth];
+    for (std::size_t k = entries_.size(); k-- > head_;) {
+      const Entry& e = entries_[k];
       if (e.start > when) continue;
       Piece p;
-      p.change_at = k + 1 < count_ ? ring_[(head_ + k + 1) % kDepth].start
-                                   : kNeverCycle;
+      p.change_at = k + 1 < entries_.size() ? entries_[k + 1].start : kNeverCycle;
       p.value = eval(e, when);
       if (when < e.hold) {
         p.num = e.num;
@@ -198,13 +113,30 @@ class LaggedCounter {
       return p;
     }
     Piece p;  // before any history: constant zero until the first entry
-    p.change_at = count_ > 0 ? ring_[head_ % kDepth].start : kNeverCycle;
+    p.change_at = empty() ? kNeverCycle : entries_[head_].start;
     return p;
   }
 
   [[nodiscard]] std::uint64_t latest() const noexcept {
-    return count_ == 0 ? 0 : eval(ring_[(head_ + count_ - 1) % kDepth],
-                                  ring_[(head_ + count_ - 1) % kDepth].hold);
+    return empty() ? 0 : eval(entries_.back(), entries_.back().hold);
+  }
+
+  /// Drops every entry that no query at a cycle >= `through` can reach:
+  /// all but the newest entry starting at or before `through` (the one that
+  /// covers it). value_at and piece_at answer exactly as before for every
+  /// cycle >= `through`.
+  void prune(Cycle through) {
+    while (entries_.size() - head_ > 1 && entries_[head_ + 1].start <= through) {
+      ++head_;
+    }
+    // The cycle-stepped engine records and prunes every cycle: advance a
+    // head index and compact only once the dead prefix outweighs the live
+    // entries (amortized O(1) per dropped entry).
+    if (head_ >= kCompactAt && 2 * head_ >= entries_.size()) {
+      entries_.erase(entries_.begin(),
+                     entries_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
   }
 
   /// Moves the whole recorded history `delta` cycles into the future — the
@@ -212,21 +144,20 @@ class LaggedCounter {
   /// fast-forwards K whole iterations (values are per-instruction produced
   /// counts and stay untouched; only the time axis shifts).
   void shift_time(Cycle delta) noexcept {
-    for (std::size_t k = 0; k < count_; ++k) {
-      Entry& e = ring_[(head_ + k) % kDepth];
-      e.start += delta;
-      e.hold += delta;
+    for (std::size_t k = head_; k < entries_.size(); ++k) {
+      entries_[k].start += delta;
+      entries_[k].hold += delta;
     }
   }
 
-  /// Appends a canonical time-relative serialization of the history to
+  /// Appends a canonical time-relative serialization of the live history to
   /// `out` (cycles rebased to `base`): two histories serialize equally iff
   /// every consumer-visible query agrees under the same rebasing. Used by
   /// the loop batcher's steady-state snapshot comparison.
   void serialize_rel(Cycle base, std::vector<std::uint64_t>* out) const {
-    out->push_back(count_);
-    for (std::size_t k = 0; k < count_; ++k) {
-      const Entry& e = ring_[(head_ + k) % kDepth];
+    out->push_back(entries_.size() - head_);
+    for (std::size_t k = head_; k < entries_.size(); ++k) {
+      const Entry& e = entries_[k];
       out->push_back(static_cast<std::uint64_t>(
           static_cast<std::int64_t>(e.start) - static_cast<std::int64_t>(base)));
       out->push_back(e.value);
@@ -248,118 +179,18 @@ class LaggedCounter {
     Cycle hold = 0;            ///< last growing cycle; constant afterwards
   };
 
-  [[nodiscard]] static std::uint64_t eval(const Entry& e, Cycle w) noexcept {
-    const Cycle cw = w < e.hold ? w : e.hold;
-    return e.value + (e.acc + (cw - e.start) * e.num) / e.den;
-  }
-
-  [[nodiscard]] Entry& newest() { return ring_[(head_ + count_ - 1) % kDepth]; }
-
-  void push(const Entry& e) {
-    if (count_ == kDepth) {
-      head_ = (head_ + 1) % kDepth;
-      --count_;
-    }
-    ring_[(head_ + count_) % kDepth] = e;
-    ++count_;
-  }
-
-  Entry ring_[kDepth] = {};
-  std::size_t head_ = 0;
-  std::size_t count_ = 0;
-};
-
-/// Unbounded production log for stall attribution. Mirrors every history
-/// record an FPU instruction makes into its `LaggedCounter`, but without the
-/// ring's eviction: the stall attributor asks "how many results existed at
-/// cycle w" for windows that can span arbitrarily many recorded pieces (the
-/// event engine's fast-forward can overshoot a window by hundreds of
-/// per-cycle divider records), and the ring legitimately forgets anything
-/// older than its 64 retained entries. The tape is pruned after each
-/// attribution step, so its live length is bounded by one attribution window
-/// in practice; `base_*` preserve the pre-prune value so queries at or before
-/// the pruned boundary still answer exactly.
-class ProdTape {
- public:
-  void clear() noexcept {
-    pieces_.clear();
-    base_cycle_ = 0;
-    base_value_ = 0;
-  }
-
-  /// Mirrors LaggedCounter::record (point sample at `now`).
-  void record(Cycle now, std::uint64_t value) {
-    if (!pieces_.empty() && pieces_.back().start == now &&
-        pieces_.back().hold == now) {
-      pieces_.back() = Entry{now, value, 0, 1, 0, now};
-      return;
-    }
-    pieces_.push_back(Entry{now, value, 0, 1, 0, now});
-  }
-
-  /// Mirrors LaggedCounter::record_ramp (same merge rule, same evaluation).
-  void record_ramp(Cycle start, std::uint64_t v0, std::uint64_t num,
-                   std::uint64_t den, std::uint64_t acc, Cycle hold) {
-    if (!pieces_.empty()) {
-      Entry& n = pieces_.back();
-      if (n.den == 1 && den == 1 && n.num == num && start == n.hold + 1 &&
-          v0 == eval(n, n.hold) + num) {
-        n.hold = hold;
-        return;
-      }
-    }
-    pieces_.push_back(Entry{start, v0, num, den, acc, hold});
-  }
-
-  /// Value of the counter at cycle `when`; `base_value_` before history.
-  [[nodiscard]] std::uint64_t value_at(Cycle when) const {
-    for (std::size_t k = pieces_.size(); k-- > 0;) {
-      const Entry& e = pieces_[k];
-      if (e.start <= when) return eval(e, when);
-    }
-    return when >= base_cycle_ || base_cycle_ == 0 ? base_value_ : 0;
-  }
-
-  /// Drops pieces whose effect is fully captured at `through` (every future
-  /// query will be at a later cycle). Keeps the value at `through` as the
-  /// new base so boundary queries (`value_at(through)`) still answer.
-  void prune(Cycle through) {
-    base_value_ = value_at(through);
-    base_cycle_ = through;
-    // A piece is droppable once a successor covers every cycle after
-    // `through` (queries walk newest-first and never look past it again).
-    while (pieces_.size() > 1 && pieces_[1].start <= through + 1) {
-      pieces_.pop_front();
-    }
-  }
-
-  /// Time-axis relabel for the loop batcher (mirrors LaggedCounter).
-  void shift_time(Cycle delta) noexcept {
-    base_cycle_ += delta;
-    for (Entry& e : pieces_) {
-      e.start += delta;
-      e.hold += delta;
-    }
-  }
-
- private:
-  struct Entry {
-    Cycle start = 0;
-    std::uint64_t value = 0;
-    std::uint64_t num = 0;
-    std::uint64_t den = 1;
-    std::uint64_t acc = 0;
-    Cycle hold = 0;
-  };
+  /// Dead-prefix length at which prune() may compact the list.
+  static constexpr std::size_t kCompactAt = 16;
 
   [[nodiscard]] static std::uint64_t eval(const Entry& e, Cycle w) noexcept {
     const Cycle cw = w < e.hold ? w : e.hold;
     return e.value + (e.acc + (cw - e.start) * e.num) / e.den;
   }
 
-  std::deque<Entry> pieces_;
-  Cycle base_cycle_ = 0;
-  std::uint64_t base_value_ = 0;
+  [[nodiscard]] bool empty() const noexcept { return entries_.size() == head_; }
+
+  std::vector<Entry> entries_;
+  std::size_t head_ = 0;  ///< first live entry; [0, head_) are pruned
 };
 
 }  // namespace araxl

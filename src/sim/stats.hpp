@@ -243,7 +243,7 @@ template <auto Member, auto Name = nullptr>
 constexpr StatField stat(std::string_view name, unsigned flags,
                          std::string_view metric = {},
                          std::string_view column = {}) {
-  if constexpr (Name == nullptr) {
+  if constexpr (std::is_null_pointer_v<decltype(Name)>) {
     return {name, flags, metric, {}, 1, nullptr, &member_view<Member>};
   } else {
     return {name, flags, metric, column, std::tuple_size_v<MemberType<Member>>,

@@ -283,55 +283,6 @@ TEST(SuperPeriod, OnlyConstantUnitStrideWalksCount) {
   EXPECT_EQ(phase_super_period(p, LoopRegion{1, p.ops.size(), 4}, 64), 4u);
 }
 
-// ---- two-level nest detection ----------------------------------------------
-
-/// 4 rows x 5 strips of (vle, vfadd) with `pitch` between row starts.
-Program tiled_program(std::uint64_t pitch, std::uint64_t stride,
-                      std::uint64_t wobble_row = ~0ull) {
-  ProgramBuilder pb(16384, "tiled");
-  pb.vsetvli(16, Sew::k64, kLmul1);
-  for (std::uint64_t row = 0; row < 4; ++row) {
-    for (std::uint64_t s = 0; s < 5; ++s) {
-      const std::uint64_t nudge = row == wobble_row && s == 2 ? 16 : 0;
-      pb.vle(8, 0x1000 + row * pitch + s * stride + nudge);
-      pb.vfadd_vf(12, 8, 1.0);
-    }
-  }
-  return pb.take();
-}
-
-TEST(LoopNest, DetectsTiledRowJumps) {
-  // Row pitch != 5*stride, so the load's per-period delta is `stride` four
-  // times then one jump — a valid two-level nest with outer period 5 and
-  // the jump entering each row's first iteration (phase 4).
-  const std::uint64_t stride = 0x100;
-  const Program p = tiled_program(/*pitch=*/5 * stride + 8, stride);
-  const LoopRegion region{1, p.ops.size(), 2};
-  const LoopNest nest = find_loop_nest(p, region);
-  ASSERT_TRUE(nest.valid);
-  EXPECT_EQ(nest.outer_period, 5u);
-  EXPECT_EQ(nest.phase, 4u);
-}
-
-TEST(LoopNest, PlainProgressionIsNotANest) {
-  // pitch == 5*stride makes the walk a single constant progression: no
-  // jumps, so there is no outer loop to find.
-  const std::uint64_t stride = 0x100;
-  const Program p = tiled_program(/*pitch=*/5 * stride, stride);
-  const LoopRegion region{1, p.ops.size(), 2};
-  EXPECT_FALSE(find_loop_nest(p, region).valid);
-}
-
-TEST(LoopNest, AperiodicJumpInvalidates) {
-  // A wobbled strip mid-row introduces a third delta value: the walk is
-  // not a two-level nest and the detector must say so rather than guess.
-  const std::uint64_t stride = 0x100;
-  const Program p =
-      tiled_program(/*pitch=*/5 * stride + 8, stride, /*wobble_row=*/1);
-  const LoopRegion region{1, p.ops.size(), 2};
-  EXPECT_FALSE(find_loop_nest(p, region).valid);
-}
-
 TEST(Disasm, RendersOperands) {
   ProgramBuilder pb(16384, "t");
   pb.vsetvli(16, Sew::k64, kLmul2);

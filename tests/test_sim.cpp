@@ -1,4 +1,4 @@
-// Unit tests: simulation primitives (DelayLine, BoundedQueue, LaggedCounter,
+// Unit tests: simulation primitives (LaggedCounter production histories,
 // EventHorizon/WakeupWatchdog, RunStats metrics).
 #include <gtest/gtest.h>
 
@@ -8,60 +8,6 @@
 
 namespace araxl {
 namespace {
-
-TEST(DelayLine, DelaysByLatency) {
-  DelayLine<int> dl(3);
-  dl.push(10, 42);
-  EXPECT_FALSE(dl.ready(10));
-  EXPECT_FALSE(dl.ready(12));
-  EXPECT_TRUE(dl.ready(13));
-  EXPECT_EQ(dl.pop(13), 42);
-  EXPECT_TRUE(dl.empty());
-}
-
-TEST(DelayLine, PreservesOrder) {
-  DelayLine<int> dl(2);
-  dl.push(0, 1);
-  dl.push(1, 2);
-  dl.push(2, 3);
-  EXPECT_EQ(dl.pop(5), 1);
-  EXPECT_EQ(dl.pop(5), 2);
-  EXPECT_EQ(dl.pop(5), 3);
-}
-
-TEST(DelayLine, ZeroLatency) {
-  DelayLine<int> dl(0);
-  dl.push(7, 9);
-  EXPECT_TRUE(dl.ready(7));
-  EXPECT_EQ(dl.pop(7), 9);
-}
-
-TEST(DelayLine, PopNotReadyThrows) {
-  DelayLine<int> dl(5);
-  dl.push(0, 1);
-  EXPECT_THROW(dl.pop(3), ContractViolation);
-}
-
-TEST(BoundedQueue, Backpressure) {
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3));
-  EXPECT_TRUE(q.full());
-  q.pop();
-  EXPECT_TRUE(q.try_push(3));
-  EXPECT_EQ(q.front(), 2);
-}
-
-TEST(BoundedQueue, EmptyAccessThrows) {
-  BoundedQueue<int> q(1);
-  EXPECT_THROW(static_cast<void>(q.front()), ContractViolation);
-  EXPECT_THROW(q.pop(), ContractViolation);
-}
-
-TEST(BoundedQueue, ZeroCapacityRejected) {
-  EXPECT_THROW(BoundedQueue<int>(0), ContractViolation);
-}
 
 TEST(LaggedCounter, ZeroLagReturnsLatest) {
   LaggedCounter c;
@@ -96,12 +42,15 @@ TEST(LaggedCounter, SameCycleOverwrite) {
   EXPECT_EQ(c.value_at_lag(5, 0), 3u);
 }
 
-TEST(LaggedCounter, LongHistoryStaysCorrectWithinDepth) {
+TEST(LaggedCounter, UnprunedHistoryAnswersEveryLag) {
+  // Nothing is forgotten until prune(): one record per cycle, queried far
+  // further back than any chaining lag.
   LaggedCounter c;
   for (Cycle t = 0; t < 200; ++t) c.record(t, t * 2);
-  // lag within the retained window (64 entries at 1/cycle).
   EXPECT_EQ(c.value_at_lag(199, 10), (199u - 10) * 2);
   EXPECT_EQ(c.value_at_lag(199, 63), (199u - 63) * 2);
+  EXPECT_EQ(c.value_at_lag(199, 150), 98u);
+  EXPECT_EQ(c.value_at_lag(199, 199), 0u);
 }
 
 TEST(LaggedCounter, RampInterpolatesLikePerCycleRecords) {
@@ -169,6 +118,71 @@ TEST(LaggedCounter, PieceAtDescribesSegments) {
   EXPECT_EQ(held.value, 12u);
   EXPECT_EQ(held.num, 0u);
   EXPECT_EQ(held.change_at, kNeverCycle);
+}
+
+/// Field-wise Piece equality, with the cycle in the failure message.
+void expect_same_piece(const LaggedCounter& a, const LaggedCounter& b,
+                       Cycle w) {
+  const LaggedCounter::Piece pa = a.piece_at(w);
+  const LaggedCounter::Piece pb = b.piece_at(w);
+  EXPECT_EQ(pa.value, pb.value) << "cycle " << w;
+  EXPECT_EQ(pa.num, pb.num) << "cycle " << w;
+  EXPECT_EQ(pa.den, pb.den) << "cycle " << w;
+  EXPECT_EQ(pa.acc, pb.acc) << "cycle " << w;
+  EXPECT_EQ(pa.grow_until, pb.grow_until) << "cycle " << w;
+  EXPECT_EQ(pa.change_at, pb.change_at) << "cycle " << w;
+}
+
+TEST(LaggedCounter, PruneKeepsEveryLaterQueryExact) {
+  // Integer ramps, point records and a 170/256 divider ramp, pruned at
+  // every cycle in turn (as the engine does once per attribution step):
+  // value_at and piece_at at every cycle >= `through` must match an
+  // unpruned copy, including queries between entries and, while `through`
+  // is below 5, before the first retained entry.
+  LaggedCounter full;
+  full.record(5, 2);
+  full.record_ramp(10, 4, 2, 1, 0, 14);
+  full.record(16, 20);
+  full.record_ramp(20, 21, 170, 256, 170, 60);
+  full.record(61, 64);
+  full.record_ramp(70, 72, 8, 1, 0, 79);
+  LaggedCounter pruned = full;
+  for (Cycle through = 0; through <= 90; ++through) {
+    pruned.prune(through);
+    for (Cycle w = through; w <= 95; ++w) {
+      ASSERT_EQ(pruned.value_at(w), full.value_at(w))
+          << "through " << through << " cycle " << w;
+      expect_same_piece(pruned, full, w);
+    }
+    EXPECT_EQ(pruned.latest(), full.latest());
+  }
+}
+
+TEST(LaggedCounter, PruneDropsUnreachableEntries) {
+  // Per-cycle records pruned behind a lag of 3 keep only the entries a
+  // lagged query can still reach: the serialized history stays short, and
+  // two histories whose recent pasts agree serialize equally once pruned.
+  LaggedCounter a;
+  LaggedCounter b;
+  b.record(0, 1);  // an older, different prefix
+  b.record(4, 7);
+  for (Cycle t = 10; t <= 500; ++t) {
+    a.record(t, t);
+    b.record(t, t);
+    a.prune(t - 2);
+    b.prune(t - 2);
+  }
+  std::vector<std::uint64_t> sa;
+  std::vector<std::uint64_t> sb;
+  a.serialize_rel(500, &sa);
+  b.serialize_rel(500, &sb);
+  EXPECT_EQ(sa[0], 3u);
+  EXPECT_EQ(sa, sb);
+  EXPECT_EQ(a.value_at_lag(500, 2), 498u);
+  // Relabelling the time axis keeps the pruned history consistent.
+  a.shift_time(1000);
+  EXPECT_EQ(a.value_at(1498), 498u);
+  EXPECT_EQ(a.value_at(1500), 500u);
 }
 
 TEST(EventHorizon, KeepsEarliestFutureProposal) {
