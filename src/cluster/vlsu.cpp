@@ -7,10 +7,6 @@ bool elementwise_mem_op(Op op) {
          op == Op::kVsuxei;
 }
 
-unsigned vlsu_lane_for_element(const VrfMapping& map, std::uint64_t idx) {
-  return map.lane_of(idx);
-}
-
 std::uint64_t vlsu_lane_byte_share(const VrfMapping& map, std::uint64_t vl,
                                    unsigned ew, unsigned cluster, unsigned lane) {
   std::uint64_t elems = 0;

@@ -19,11 +19,6 @@ namespace araxl {
 /// lower throughput" (paper §III-A): one element per cluster per cycle.
 bool elementwise_mem_op(Op op);
 
-/// Lane (within the owning cluster) that receives element `idx` of a
-/// unit-stride access — the local shuffle function of the VLSU. Must agree
-/// with the VRF mapping; tests enforce this.
-unsigned vlsu_lane_for_element(const VrfMapping& map, std::uint64_t idx);
-
 /// Bytes of a `vl` x `ew` unit-stride access handled by one lane of one
 /// cluster (balanced up to one row by construction of the mapping).
 std::uint64_t vlsu_lane_byte_share(const VrfMapping& map, std::uint64_t vl,

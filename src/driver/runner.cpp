@@ -182,7 +182,7 @@ JobResult execute(const Job& job, const RunnerOptions& opts,
     // Fresh machine + kernel: build() writes inputs into machine memory,
     // so the oracle run needs its own architectural state. The oracle run
     // is deliberately unmetered — its engine counters would double-count
-    // every unit cycle against the run under test.
+    // every cycle and stall against the run under test.
     MachineConfig oracle_cfg = cfg;
     oracle_cfg.timing_mode = TimingMode::kCycleStepped;
     Machine oracle(oracle_cfg);

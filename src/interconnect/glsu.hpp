@@ -24,7 +24,6 @@
 
 #include "interconnect/spec.hpp"
 #include "machine/config.hpp"
-#include "mem/axi.hpp"
 #include "sim/cycle.hpp"
 
 namespace araxl {
@@ -53,13 +52,6 @@ class GlsuModel {
   /// (the Align stage ships the full first bus word).
   [[nodiscard]] std::uint64_t head_skew(std::uint64_t addr) const {
     return addr % bus_bytes();
-  }
-
-  /// Total bus beats for a unit-stride access, including 4-KiB burst splits
-  /// and the misalignment beat (delegates to the AXI splitter).
-  [[nodiscard]] std::uint64_t transfer_beats(std::uint64_t addr,
-                                             std::uint64_t len_bytes) const {
-    return total_beats(addr, len_bytes, bus_bytes());
   }
 
   /// Bytes granted to the bus owner in one cycle (per-cycle engine).

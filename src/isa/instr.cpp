@@ -141,11 +141,4 @@ const OpSpec& op_spec(Op op) {
   return kSpecs[idx];
 }
 
-bool is_mem_op(Op op) {
-  const OpSpec& s = op_spec(op);
-  return s.reads_mem || s.writes_mem;
-}
-
-bool is_arith_fp(Op op) { return op_spec(op).flops_per_elem > 0; }
-
 }  // namespace araxl

@@ -169,10 +169,6 @@ struct OpSpec {
 /// Property lookup for `op`.
 const OpSpec& op_spec(Op op);
 
-/// Convenience predicates.
-bool is_mem_op(Op op);
-bool is_arith_fp(Op op);
-
 }  // namespace araxl
 
 #endif  // ARAXL_ISA_INSTR_HPP

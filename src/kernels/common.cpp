@@ -84,8 +84,4 @@ std::uint64_t MemLayout::alloc(std::uint64_t bytes) {
   return base;
 }
 
-std::uint64_t MemLayout::alloc_misaligned(std::uint64_t bytes, std::uint64_t skew) {
-  return alloc(bytes + skew) + skew;
-}
-
 }  // namespace araxl

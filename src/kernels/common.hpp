@@ -114,10 +114,6 @@ class MemLayout {
   /// Reserves `bytes` and returns the base address.
   std::uint64_t alloc(std::uint64_t bytes);
 
-  /// Reserves `bytes` and deliberately misaligns the base by `skew` bytes
-  /// (for misalignment tests).
-  std::uint64_t alloc_misaligned(std::uint64_t bytes, std::uint64_t skew);
-
  private:
   std::uint64_t cursor_;
   std::uint64_t align_;

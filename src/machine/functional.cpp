@@ -94,6 +94,19 @@ T fp_out(double v) {
   }
 }
 
+/// The element encoding of an FP arithmetic result: like fp_out, except
+/// that any NaN becomes the SEW's canonical quiet NaN, as RVV specifies,
+/// whichever NaN operands produced it.
+template <typename T>
+T fp_result(double v) {
+  if (std::isnan(v)) {
+    return static_cast<T>(sizeof(T) == 8   ? 0x7FF8000000000000
+                          : sizeof(T) == 4 ? 0x7FC00000
+                                           : 0x7E00);
+  }
+  return fp_out<T>(v);
+}
+
 /// `n` elements of type T from `vreg` on, as one element-order span.
 template <typename T>
 T* elems(Vrf& vrf, unsigned vreg, std::uint64_t n) {
@@ -256,9 +269,11 @@ void FunctionalEngine::exec_elementwise(const VInstr& in, const std::uint8_t* m)
   // FP arithmetic on decoded operands, rounded once on the write.
   const auto fp = [&](auto f) {
     run(m, [f](T x, T y, T z, W) {
-      return fp_out<T>(f(fp_in(x), fp_in(y), fp_in(z)));
+      return fp_result<T>(f(fp_in(x), fp_in(y), fp_in(z)));
     });
   };
+  // Sign injection works on the raw encodings and never canonicalizes.
+  constexpr T kSign = T(T{1} << (8 * sizeof(T) - 1));
   switch (in.op) {
     case Op::kVfaddVV: return fp([](double x, double y, double) { return x + y; });
     case Op::kVfaddVF: return fp([fs](double x, double, double) { return x + fs; });
@@ -293,9 +308,9 @@ void FunctionalEngine::exec_elementwise(const VInstr& in, const std::uint8_t* m)
     case Op::kVfmaxVF:
       return fp([fs](double x, double, double) { return std::fmax(x, fs); });
     case Op::kVfsgnjVV:
-      return fp([](double x, double y, double) { return std::copysign(x, y); });
+      return run(m, [](T x, T y, T, W) { return T((x & ~kSign) | (y & kSign)); });
     case Op::kVfsgnjnVV:
-      return fp([](double x, double y, double) { return std::copysign(x, -y); });
+      return run(m, [](T x, T y, T, W) { return T((x & ~kSign) | (~y & kSign)); });
     case Op::kVfsqrtV: return fp([](double x, double, double) { return std::sqrt(x); });
     case Op::kVfcvtXF:  // round to nearest even, integer result
       return run(m, [](T x, T, T, W) {
@@ -347,7 +362,7 @@ void FunctionalEngine::exec_widening(const VInstr& in, const std::uint8_t* m) {
   const auto* b = elems<std::uint32_t>(vrf_, in.vs1, n);
   const auto run = [&](auto f) {
     for_active(m, 0, n, [&](W i) {
-      d[i] = fp_out<W>(f(fp_in(a[i]), fp_in(b[i]), fp_in(d[i])));
+      d[i] = fp_result<W>(f(fp_in(a[i]), fp_in(b[i]), fp_in(d[i])));
     });
   };
   switch (in.op) {
@@ -373,7 +388,7 @@ void FunctionalEngine::exec_reduction(const VInstr& in, const std::uint8_t* m) {
     case Op::kVfredmin: reduce([](double s, double x) { return std::fmin(s, x); }); break;
     default: fail("unhandled reduction");
   }
-  vrf_.write_elem(in.vd, 0, sizeof(T), fp_out<T>(acc));
+  vrf_.write_elem(in.vd, 0, sizeof(T), fp_result<T>(acc));
 }
 
 template <typename T>

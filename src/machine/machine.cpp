@@ -13,7 +13,7 @@ RunStats Machine::run(const Program& prog, InstrTrace* trace,
                       obs::MetricsRegistry* metrics) {
   // Instrument binding is cached across runs: re-binding the same registry
   // is a pointer compare, so the per-run cost of carrying metrics is the
-  // counters themselves, not ~40 name lookups.
+  // counters themselves, not a name lookup per counter.
   instruments_.bind(metrics);
   TimingEngine engine(cfg_, fn_, trace,
                       metrics == nullptr ? nullptr : &instruments_);

@@ -54,9 +54,10 @@ class Machine {
   /// optional RunControl is polled cooperatively at scheduler wakeups —
   /// a fired shutdown token or deadline raises SimCancelled (the driver's
   /// job-timeout and graceful-shutdown paths). An optional metrics
-  /// registry (obs/metrics.hpp) receives per-unit busy/stall/idle cycles,
-  /// occupancy samples, and batching telemetry; simulated results are
-  /// identical with or without one (metrics are pure observers).
+  /// registry (obs/metrics.hpp) receives the run's mirrored RunStats
+  /// counters (cycles, stall taxonomy, batching telemetry) once it ends;
+  /// simulated results are identical with or without one (metrics are
+  /// pure observers).
   RunStats run(const Program& prog, InstrTrace* trace = nullptr,
                const RunControl* control = nullptr,
                obs::MetricsRegistry* metrics = nullptr);

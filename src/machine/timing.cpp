@@ -62,14 +62,6 @@ void EngineInstruments::bind(obs::MetricsRegistry* reg) {
   if (reg == registry) return;
   registry = reg;
   if (reg == nullptr) return;
-  for (std::size_t u = 1; u < kNumUnits; ++u) {
-    const std::string base =
-        "engine.unit." + std::string(unit_name(static_cast<Unit>(u)));
-    unit_busy[u] = reg->counter(base + ".busy_cycles");
-    unit_stall[u] = reg->counter(base + ".stall_cycles");
-    unit_idle[u] = reg->counter(base + ".idle_cycles");
-  }
-  occupancy = reg->histogram("engine.inflight_occupancy");
   runs = reg->counter("engine.runs");
   std::size_t slot = 0;
   for (const StatField& f : kRunStatsFields) {
@@ -79,63 +71,20 @@ void EngineInstruments::bind(obs::MetricsRegistry* reg) {
   }
 }
 
-void TimingEngine::metrics_account_units(Cycle t, Cycle span) {
-  (void)t;
-  if (metrics_ == nullptr || span == 0) return;
-  for (std::size_t u = 1; u < kNumUnits; ++u) {
-    const auto& q = unitq_[u];
-    if (q.empty()) {
-      acc_unit_idle_[u] += span;
-      continue;
-    }
-    // Busy while the head is still producing elements; stalled when it
-    // has finished producing but cannot retire yet (chain lag, reduction
-    // phases, a blocked queue front).
-    const Inflight& head = pool_.at(q.front());
-    if (head.finished_producing()) {
-      acc_unit_stall_[u] += span;
-    } else {
-      acc_unit_busy_[u] += span;
-    }
-  }
-  const std::uint64_t occ = pool_.active();
-  ++acc_occ_buckets_[obs::Histogram::bucket_of(occ)];
-  ++acc_occ_count_;
-  acc_occ_sum_ += occ;
-  if (occ > acc_occ_max_) acc_occ_max_ = occ;
-}
-
 void TimingEngine::metrics_end_run() {
   if (metrics_ == nullptr) return;
-  for (std::size_t u = 1; u < kNumUnits; ++u) {
-    if (acc_unit_busy_[u] != 0) metrics_->unit_busy[u]->add(acc_unit_busy_[u]);
-    if (acc_unit_stall_[u] != 0) {
-      metrics_->unit_stall[u]->add(acc_unit_stall_[u]);
-    }
-    if (acc_unit_idle_[u] != 0) metrics_->unit_idle[u]->add(acc_unit_idle_[u]);
-  }
-  metrics_->occupancy->merge_counts(acc_occ_buckets_, acc_occ_count_,
-                                    acc_occ_sum_, acc_occ_max_);
   metrics_->runs->inc();
-  // Mirrored counters are folded from the finished RunStats instead of
-  // being added where they accrue: the per-slot stall path in
-  // attribute_piece is the hottest loop in the engine, and a registry test
-  // there erodes the metrics-overhead budget as instrumented sites grow.
-  // Folding here also covers the batched K× deltas, which never passed
-  // through attribute_piece at all.
+  // Counters are folded from the finished RunStats instead of being added
+  // where they accrue: the per-slot stall path in attribute_piece is the
+  // hottest loop in the engine, and a registry test there erodes the
+  // metrics-overhead budget. Folding here also covers the batched K×
+  // deltas, which never passed through attribute_piece at all.
   std::size_t slot = 0;
   for (const StatField& f : kRunStatsFields) {
     for (const std::uint64_t v : f.values(stats_)) {
       if (obs::Counter* c = metrics_->mirror[slot++]) c->add(v);
     }
   }
-  // An engine can be driven through run() more than once (differential
-  // tests); the accumulators are per-run, so clear them after folding.
-  acc_unit_busy_ = {};
-  acc_unit_stall_ = {};
-  acc_unit_idle_ = {};
-  acc_occ_buckets_ = {};
-  acc_occ_count_ = acc_occ_sum_ = acc_occ_max_ = 0;
 }
 
 void TimingEngine::count_batch_reject(BatchReject r, Cycle t) {
@@ -945,7 +894,6 @@ RunStats TimingEngine::run_cycle_stepped(const Program& prog) {
   while (!drained()) {
     step_cycle(t);
     attribute_range(t, t);
-    if (metrics_ != nullptr) metrics_account_units(t, 1);
     if ((t & 0xFFF) == 0) {
       if (control_ != nullptr) control_->check_now();
       if (watchdog_.progress_total() != last_progress_events_) {

@@ -52,22 +52,21 @@ namespace araxl {
 bool mem_range(const VInstr& in, std::uint64_t vl, unsigned ew, std::uint64_t* lo,
                std::uint64_t* hi);
 
-/// Resolved metric-instrument handles for one registry. Binding performs
-/// the name lookups (string building plus a mutex-guarded registry map
-/// walk per instrument); re-binding against the same registry is a single
-/// pointer compare. The Machine caches one of these across runs — a
-/// TimingEngine is constructed per run, and paying ~40 lookups per run
-/// dominated the metrics overhead budget once runs got fast.
+/// Resolved metric-counter handles for one registry: `engine.runs` plus
+/// the RunStats mirror. Every other `engine.*` counter is a RunStats field
+/// (its kRunStatsFields `metric` name), folded from the finished run, so
+/// the registry agrees with the stats exactly, batched windows included.
+/// Binding performs the name lookups (string building plus a mutex-guarded
+/// registry map walk per counter); re-binding against the same registry
+/// is a single pointer compare. The Machine caches one of these across
+/// runs — a TimingEngine is constructed per run, and paying the lookups
+/// per run dominated the metrics overhead budget once runs got fast.
 struct EngineInstruments {
-  /// Points the handles at `reg`'s instruments (no-op when already bound
-  /// to `reg`; clears only the registry tag when `reg` is null).
+  /// Points the handles at `reg`'s counters (no-op when already bound to
+  /// `reg`; clears only the registry tag when `reg` is null).
   void bind(obs::MetricsRegistry* reg);
 
   obs::MetricsRegistry* registry = nullptr;
-  std::array<obs::Counter*, kNumUnits> unit_busy{};
-  std::array<obs::Counter*, kNumUnits> unit_stall{};
-  std::array<obs::Counter*, kNumUnits> unit_idle{};
-  obs::Histogram* occupancy = nullptr;
   obs::Counter* runs = nullptr;
   /// RunStats mirror, one handle per counter slot in kRunStatsFields order
   /// (null for fields without a metric name); folded at the end of a run.
@@ -88,11 +87,11 @@ class TimingEngine {
   /// a run that completes is bit-identical with or without a control.
   RunStats run(const Program& prog, const RunControl* control = nullptr);
 
-  /// Explicit-kernel entry points (differential tests, benchmarks).
+ private:
+  /// The two kernels run() selects between.
   RunStats run_cycle_stepped(const Program& prog);
   RunStats run_event_driven(const Program& prog);
 
- private:
   struct RegRef {
     std::uint32_t slot = 0;
     std::uint64_t id = 0;  ///< 0 = none
@@ -268,35 +267,20 @@ class TimingEngine {
   void release_claims(const Inflight& instr);
   [[noreturn]] void fail_deadlock(Cycle t) const;
 
-  // -- observability (obs/metrics.hpp; all no-ops when metrics_ is null) ------
-  /// Attributes `span` cycles starting at `t` to each unit as busy, stall
-  /// or idle from its queue state, and samples in-flight occupancy. The
-  /// event engine calls this per wakeup window (unit state is constant
-  /// between wakeups by construction); the oracle calls it per cycle.
-  void metrics_account_units(Cycle t, Cycle span);
-  /// Folds the per-run provenance counters into the registry after a run.
+  // -- observability ---------------------------------------------------------
+  /// Folds the finished run's RunStats into the registry mirror (no-op
+  /// when metrics_ is null).
   void metrics_end_run();
-  /// Counts one batching rejection under `r` (RunStats + metrics + marker).
+  /// Counts one batching rejection under `r` (RunStats + trace marker).
   void count_batch_reject(BatchReject r, Cycle t);
 
   const MachineConfig& cfg_;
   FunctionalEngine& fn_;
   InstrTrace* trace_ = nullptr;
-  /// Pre-bound instrument handles (owned by the Machine, which re-binds
-  /// them only when the attached registry changes); null when no registry
-  /// is attached to this run.
+  /// Pre-bound counter handles (owned by the Machine, which re-binds them
+  /// only when the attached registry changes); null when no registry is
+  /// attached to this run.
   const EngineInstruments* metrics_ = nullptr;
-  // Per-run plain accumulators behind the instruments: the per-wakeup
-  // accounting path counts here (no atomic traffic) and metrics_end_run
-  // folds the totals into the shared registry once. Final registry values
-  // are identical to counting per wakeup — addition commutes.
-  std::array<std::uint64_t, kNumUnits> acc_unit_busy_{};
-  std::array<std::uint64_t, kNumUnits> acc_unit_stall_{};
-  std::array<std::uint64_t, kNumUnits> acc_unit_idle_{};
-  std::array<std::uint64_t, obs::Histogram::kBuckets> acc_occ_buckets_{};
-  std::uint64_t acc_occ_count_ = 0;
-  std::uint64_t acc_occ_sum_ = 0;
-  std::uint64_t acc_occ_max_ = 0;
   /// The interconnect descriptor both kernels consume: every REQI/GLSU/
   /// RINGI latency and structure number flows through here (declared
   /// before the models, which are built from it).

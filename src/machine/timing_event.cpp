@@ -66,7 +66,6 @@ RunStats TimingEngine::run_event_driven(const Program& prog) {
     if (trace_ != nullptr && trace_->markers_enabled()) {
       trace_->mark(t, SimMarkerKind::kWakeup, pool_.active());
     }
-    if (metrics_ != nullptr) metrics_account_units(t, 1);
     if (control_ != nullptr) control_->poll(watchdog_.wakeups_total());
     if (drained()) {
       ++t;
@@ -102,14 +101,10 @@ RunStats TimingEngine::run_event_driven(const Program& prog) {
       } else if (cva6_stall_ == Cva6Stall::kSeqFull) {
         stats_.issue_stall_cycles += skipped;
       }
-      // Unit queue membership is constant across the skipped window (no
-      // dispatch/retire between wakeups), so the whole gap is attributed
-      // from the post-step state in one call.
-      if (metrics_ != nullptr) metrics_account_units(t + 1, skipped);
-      // Same argument for the stall taxonomy: classification inputs are
-      // window-constant (or monotone-stable), and per-cycle production is
-      // replayed from the heads' production histories — bit-identical to
-      // the oracle's per-cycle attribution of the same span.
+      // The stall taxonomy's classification inputs are window-constant (or
+      // monotone-stable), and per-cycle production is replayed from the
+      // heads' production histories — bit-identical to the oracle's
+      // per-cycle attribution of the same span.
       attribute_range(t + 1, wend_excl - 1);
     }
     t = wend_excl;

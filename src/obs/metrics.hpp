@@ -1,25 +1,26 @@
-// Lightweight metrics registry: named counters, gauges, and power-of-two
-// histograms for observing the simulator itself.
+// Lightweight metrics registry: named counters for observing the simulator
+// itself.
 //
 // Design constraints, in order:
 //   * near-zero cost when disabled — every instrumented site holds a raw
 //     pointer that is nullptr when no registry is attached, so the off
 //     path is one branch and no atomic traffic;
 //   * thread-safe when enabled — sweep workers share one registry, so
-//     instruments are relaxed atomics and the registry map is mutex-
-//     guarded (instrument pointers stay stable across registrations:
-//     the map owns each instrument behind a unique_ptr);
-//   * deterministic output — `to_json()` / `render_table()` emit
-//     instruments in name order, so a rollup is a pure function of the
-//     counted events, not of registration or thread order.
+//     counters are relaxed atomics and the registry map is mutex-guarded
+//     (counter pointers stay stable across registrations: the map owns
+//     each counter behind a unique_ptr);
+//   * deterministic output — `to_json()` emits counters in name order, so
+//     a rollup is a pure function of the counted events, not of
+//     registration or thread order.
 //
 // Naming convention: dot-separated lowercase paths, coarse-to-fine —
-// `engine.unit.fpu.busy_cycles`, `runner.phase.simulate_ns`,
-// `store.flush_bytes`, `engine.batch.reject.liveness_gate`.
+// `engine.stall.raw_dependency`, `runner.phase.simulate_ns`,
+// `store.flush_bytes`, `engine.batch.reject.liveness_gate`. Every
+// `engine.*` counter except `engine.runs` mirrors a RunStats field (the
+// `metric` column of kRunStatsFields in sim/stats.hpp).
 #ifndef ARAXL_OBS_METRICS_HPP
 #define ARAXL_OBS_METRICS_HPP
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -27,7 +28,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace araxl::obs {
 
@@ -46,120 +46,20 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Last-written level (set, not accumulated).
-class Gauge {
- public:
-  void set(std::uint64_t v) noexcept {
-    value_.store(v, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t> value_{0};
-};
-
-/// Power-of-two-bucket histogram over u64 samples. Bucket b counts
-/// samples whose bit width is b (bucket 0 holds the value 0, bucket 1
-/// holds 1, bucket 2 holds 2..3, ...), which is exact enough for
-/// occupancy / size / duration distributions at a fixed 65-slot cost.
-class Histogram {
- public:
-  static constexpr std::size_t kBuckets = 65;
-
-  void observe(std::uint64_t v) noexcept {
-    buckets_[bucket_of(v)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(v, std::memory_order_relaxed);
-    std::uint64_t prev = max_.load(std::memory_order_relaxed);
-    while (v > prev &&
-           !max_.compare_exchange_weak(prev, v, std::memory_order_relaxed)) {
-    }
-  }
-
-  [[nodiscard]] std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t sum() const noexcept {
-    return sum_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t max() const noexcept {
-    return max_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t bucket(std::size_t b) const noexcept {
-    return buckets_[b].load(std::memory_order_relaxed);
-  }
-
-  /// Folds a locally accumulated distribution in — the bulk equivalent of
-  /// calling observe() once per sample. Lets a hot loop count into plain
-  /// (non-atomic) storage and pay the atomic traffic once.
-  void merge_counts(const std::array<std::uint64_t, kBuckets>& buckets,
-                    std::uint64_t count, std::uint64_t sum,
-                    std::uint64_t max_seen) noexcept {
-    for (std::size_t b = 0; b < kBuckets; ++b) {
-      if (buckets[b] != 0) {
-        buckets_[b].fetch_add(buckets[b], std::memory_order_relaxed);
-      }
-    }
-    count_.fetch_add(count, std::memory_order_relaxed);
-    sum_.fetch_add(sum, std::memory_order_relaxed);
-    std::uint64_t prev = max_.load(std::memory_order_relaxed);
-    while (max_seen > prev && !max_.compare_exchange_weak(
-                                  prev, max_seen, std::memory_order_relaxed)) {
-    }
-  }
-
-  /// Bucket index for a sample: its bit width (0 for the value 0).
-  static constexpr std::size_t bucket_of(std::uint64_t v) noexcept {
-    std::size_t b = 0;
-    while (v != 0) {
-      ++b;
-      v >>= 1;
-    }
-    return b;
-  }
-
- private:
-  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_{0};
-  std::atomic<std::uint64_t> max_{0};
-};
-
-/// Named instrument namespace. counter()/gauge()/histogram() find-or-
-/// create by name and return a stable pointer that outlives further
-/// registrations (valid for the registry's lifetime).
+/// Named counter namespace. counter() finds or creates by name and returns
+/// a stable pointer that outlives further registrations (valid for the
+/// registry's lifetime).
 class MetricsRegistry {
  public:
   Counter* counter(std::string_view name);
-  Gauge* gauge(std::string_view name);
-  Histogram* histogram(std::string_view name);
 
-  /// One flat JSON object, instruments in name order: counters/gauges as
-  /// numbers, histograms as {count,sum,max,buckets:{"<2^k": n, ...}}
-  /// (zero buckets omitted). Deterministic for a given set of samples.
+  /// One flat JSON object of counter values, in name order. Deterministic
+  /// for a given set of counted events.
   [[nodiscard]] std::string to_json() const;
-
-  /// Human rollup: one aligned row per instrument, name-sorted.
-  [[nodiscard]] std::string render_table() const;
-
-  /// Snapshot rows for programmatic consumers (name-sorted; histograms
-  /// summarized as count/sum/max).
-  struct Row {
-    std::string name;
-    std::string kind;  // "counter" | "gauge" | "histogram"
-    std::uint64_t value = 0;  // counter/gauge value, histogram count
-    std::uint64_t sum = 0;    // histogram only
-    std::uint64_t max = 0;    // histogram only
-  };
-  [[nodiscard]] std::vector<Row> rows() const;
 
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 
 }  // namespace araxl::obs

@@ -81,10 +81,6 @@ double AreaBreakdown::block_kge(std::string_view name) const {
   return 0.0;
 }
 
-double AreaModel::lane_kge(bool lumped) const {
-  return lumped ? kAra2LaneKge : kLaneKge;
-}
-
 double AreaModel::cluster_kge() const {
   return 4 * kLaneKge + kClusterMasku + kClusterSldu + kClusterVlsu +
          kClusterSeqDisp + kClusterGlue;

@@ -53,8 +53,6 @@ class AreaModel {
   [[nodiscard]] double total_mm2(const MachineConfig& cfg) const;
 
   // ---- individual structural terms (kGE) ----------------------------------
-  /// One lane; the lumped (A2A) lane carries slightly more glue.
-  [[nodiscard]] double lane_kge(bool lumped) const;
   [[nodiscard]] double cluster_kge() const;         ///< one 4-lane AraXL cluster
   /// Top-level interface areas, derived from the descriptor: GLSU shuffle
   /// wiring is quadratic within a distribution level, RINGI scales with the

@@ -12,14 +12,6 @@ Vrf::Vrf(Topology topo, std::uint64_t vlen_bits, MaskLayout mask_layout)
   tag_.fill(8);  // all-zero registers read the same at every width
 }
 
-std::vector<double> Vrf::read_f64_slice(unsigned base_vreg,
-                                        std::uint64_t count) const {
-  std::vector<double> out;
-  out.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) out.push_back(read_f64(base_vreg, i));
-  return out;
-}
-
 std::uint8_t* Vrf::group(unsigned base_vreg, std::uint64_t vl,
                          unsigned ew_bytes) const {
   const std::uint64_t reg_bytes = std::uint64_t{1} << reg_shift_;

@@ -95,10 +95,6 @@ class Vrf {
     write_elem(base_vreg, idx, 8, static_cast<std::uint64_t>(v));
   }
 
-  /// Reads `count` doubles starting at element 0 (test/verification aid).
-  [[nodiscard]] std::vector<double> read_f64_slice(unsigned base_vreg,
-                                                   std::uint64_t count) const;
-
   // ---- mask registers ------------------------------------------------------
   [[nodiscard]] bool mask_bit(unsigned vreg, std::uint64_t i) const {
     return mask_bit_in(vreg, i, mask_layout_);

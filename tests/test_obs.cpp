@@ -1,8 +1,13 @@
-// Observability-layer tests: metrics registry semantics, Chrome-trace
-// export validity and determinism, and the metrics-are-pure-observers
-// contract (attaching a registry must not change a single report byte).
+// Observability-layer tests: metrics registry semantics, the engine
+// metrics' exact RunStats mirror (summed over a sweep, equal between the
+// oracle and the event engine), Chrome-trace export validity and
+// determinism, and the metrics-are-pure-observers contract (attaching a
+// registry must not change a single report byte).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <string>
 #include <thread>
 
 #include "driver/job.hpp"
@@ -23,39 +28,6 @@ using driver::RunnerOptions;
 using driver::SweepSpec;
 
 // ---- metrics registry -------------------------------------------------------
-
-TEST(Metrics, CounterGaugeHistogramBasics) {
-  obs::MetricsRegistry reg;
-  obs::Counter* c = reg.counter("a.count");
-  c->inc();
-  c->add(41);
-  EXPECT_EQ(c->value(), 42u);
-
-  obs::Gauge* g = reg.gauge("a.level");
-  g->set(7);
-  g->set(3);  // gauges overwrite, never accumulate
-  EXPECT_EQ(g->value(), 3u);
-
-  obs::Histogram* h = reg.histogram("a.dist");
-  h->observe(0);
-  h->observe(1);
-  h->observe(5);
-  h->observe(1000);
-  EXPECT_EQ(h->count(), 4u);
-  EXPECT_EQ(h->sum(), 1006u);
-  EXPECT_EQ(h->max(), 1000u);
-  EXPECT_EQ(h->bucket(obs::Histogram::bucket_of(0)), 1u);
-  EXPECT_EQ(h->bucket(obs::Histogram::bucket_of(5)), 1u);
-}
-
-TEST(Metrics, HistogramBucketOfIsBitWidth) {
-  EXPECT_EQ(obs::Histogram::bucket_of(0), 0u);
-  EXPECT_EQ(obs::Histogram::bucket_of(1), 1u);
-  EXPECT_EQ(obs::Histogram::bucket_of(2), 2u);
-  EXPECT_EQ(obs::Histogram::bucket_of(3), 2u);
-  EXPECT_EQ(obs::Histogram::bucket_of(4), 3u);
-  EXPECT_EQ(obs::Histogram::bucket_of(~0ull), 64u);
-}
 
 TEST(Metrics, FindOrCreateReturnsStablePointers) {
   obs::MetricsRegistry reg;
@@ -91,13 +63,13 @@ TEST(Metrics, ConcurrentFindOrCreateAndCountIsSafe) {
     threads.emplace_back([&reg] {
       for (int i = 0; i < 1000; ++i) {
         reg.counter("shared")->inc();
-        reg.histogram("dist")->observe(static_cast<std::uint64_t>(i));
+        reg.counter("per_thread." + std::to_string(i % 8))->add(2);
       }
     });
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(reg.counter("shared")->value(), 4000u);
-  EXPECT_EQ(reg.histogram("dist")->count(), 4000u);
+  EXPECT_EQ(reg.counter("per_thread.0")->value(), 4u * 125u * 2u);
 }
 
 // ---- sweep helpers ----------------------------------------------------------
@@ -138,19 +110,75 @@ TEST(Observability, MetricsOnReportsByteIdenticalToMetricsOff) {
 TEST(Observability, MetricsCaptureEngineAndRunnerPhases) {
   obs::MetricsRegistry reg;
   RunnerOptions opts;
+  opts.workers = 2;
   opts.metrics = &reg;
   const std::vector<JobResult> results = driver::run_sweep(smoke_spec(), opts);
   for (const JobResult& r : results) EXPECT_TRUE(r.ok);
 
-  // Per-unit cycle accounting exists and is consistent: a streaming kernel
-  // keeps load units busy for at least some cycles.
-  EXPECT_GT(reg.counter("engine.unit.load.busy_cycles")->value(), 0u);
-  EXPECT_GT(reg.counter("engine.unit.fpu.busy_cycles")->value(), 0u);
-  // Occupancy histogram saw at least one in-flight op per wakeup sample.
-  EXPECT_GT(reg.histogram("engine.inflight_occupancy")->count(), 0u);
+  // Every engine counter is the sum of its RunStats field over the jobs,
+  // whichever worker ran them and whether or not their windows batched.
+  EXPECT_EQ(reg.counter("engine.runs")->value(), results.size());
+  std::size_t mirrored = 0;
+  for (const StatField& f : kRunStatsFields) {
+    for (std::size_t i = 0; i < f.size; ++i) {
+      const std::string name = f.metric_name(i);
+      if (name.empty()) continue;
+      ++mirrored;
+      std::uint64_t sum = 0;
+      for (const JobResult& r : results) sum += f.values(r.stats)[i];
+      EXPECT_EQ(reg.counter(name)->value(), sum) << name;
+    }
+  }
+  EXPECT_GT(mirrored, 0u);
+  EXPECT_GT(reg.counter("engine.cycles")->value(), 0u);
   // Runner phase timers ran (wall-clock, so only > 0 is assertable).
   EXPECT_GT(reg.counter("runner.phase.simulate_ns")->value(), 0u);
   EXPECT_GT(reg.counter("runner.phase.verify_ns")->value(), 0u);
+}
+
+/// The `engine.*` counters of `reg` that measure the simulated run: every
+/// one except the mirrors of provenance fields, which record how the run
+/// was simulated (wakeups, batching) and legitimately differ by engine.
+std::map<std::string, std::uint64_t> engine_measurements(
+    const obs::MetricsRegistry& reg) {
+  std::set<std::string> provenance;
+  for (const StatField& f : kRunStatsFields) {
+    if (!f.has(kProvenance)) continue;
+    for (std::size_t i = 0; i < f.size; ++i) provenance.insert(f.metric_name(i));
+  }
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& [name, v] : store::parse_json(reg.to_json()).fields) {
+    if (name.starts_with("engine.") && !provenance.contains(name)) {
+      out[name] = v.as_u64();
+    }
+  }
+  return out;
+}
+
+TEST(Observability, EngineMetricsAgreeBetweenOracleAndEventEngine) {
+  // The engine's metrics are the RunStats mirror, so they inherit the
+  // engines' bit-for-bit agreement, batched windows included.
+  const auto metered = [](TimingMode mode, obs::MetricsRegistry* reg) {
+    std::uint64_t batched = 0;
+    for (const char* name : {"fmatmul", "fdotproduct", "softmax"}) {
+      MachineConfig cfg = MachineConfig::araxl(16);
+      cfg.timing_mode = mode;
+      Machine m(cfg);
+      auto kernel = make_kernel(name);
+      batched += m.run(kernel->build(m, 256), nullptr, nullptr, reg)
+                     .batched_iterations;
+    }
+    return batched;
+  };
+  obs::MetricsRegistry ev;
+  obs::MetricsRegistry oracle;
+  EXPECT_GT(metered(TimingMode::kEventDriven, &ev), 0u);
+  metered(TimingMode::kCycleStepped, &oracle);
+  const std::map<std::string, std::uint64_t> ev_m = engine_measurements(ev);
+  EXPECT_EQ(ev_m, engine_measurements(oracle));
+  ASSERT_TRUE(ev_m.contains("engine.cycles"));
+  EXPECT_GT(ev_m.at("engine.cycles"), 0u);
+  EXPECT_EQ(ev_m.at("engine.runs"), 3u);
 }
 
 // ---- Chrome-trace export ----------------------------------------------------

@@ -178,9 +178,9 @@ int usage(std::FILE* out) {
       "                          the file is byte-deterministic. Implies\n"
       "                          simulating every job (cache lookups are\n"
       "                          skipped; results are still stored).\n"
-      "  --metrics-out <file|->  write the sweep's metrics registry (per-unit\n"
-      "                          busy/stall/idle cycles, occupancy histogram,\n"
-      "                          batching-rejection counters, per-phase wall\n"
+      "  --metrics-out <file|->  write the sweep's metrics registry (engine\n"
+      "                          cycles, stall taxonomy and batching counters\n"
+      "                          summed from each run's stats, per-phase wall\n"
       "                          times, store flush traffic) as flat JSON\n"
       "  araxl stats             roll up batching telemetry (iterations and\n"
       "                          typed rejection reasons) per job from the\n"
