@@ -467,10 +467,14 @@ void stalls_artifacts(const Dataset& ds, std::vector<Artifact>& arts) {
   csv += "\n";
   for (const StallGroup& g : groups) {
     const double u = g.universe > 0 ? static_cast<double>(g.universe) : 1.0;
-    csv += g.label + "," + g.kernel + "," +
-           fnum(static_cast<double>(g.busy) / u);
+    csv += g.label;
+    csv += ',';
+    csv += g.kernel;
+    csv += ',';
+    csv += fnum(static_cast<double>(g.busy) / u);
     for (std::size_t i = 0; i < kNumStallReasons; ++i) {
-      csv += "," + fnum(static_cast<double>(g.stalls[i]) / u);
+      csv += ',';
+      csv += fnum(static_cast<double>(g.stalls[i]) / u);
     }
     csv += "\n";
   }

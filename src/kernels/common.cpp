@@ -1,7 +1,6 @@
 #include "kernels/common.hpp"
 
-#include <algorithm>
-#include <cmath>
+#include <cstring>
 
 #include "common/bits.hpp"
 #include "common/contracts.hpp"
@@ -65,17 +64,15 @@ std::vector<double> random_doubles(std::uint64_t n, double lo, double hi,
   return out;
 }
 
-VerifyResult compare_doubles(const std::vector<double>& expected,
-                             const std::vector<double>& actual) {
-  check(expected.size() == actual.size(), "size mismatch in verification");
-  VerifyResult r;
-  r.checked = expected.size();
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    const double denom = std::max(std::abs(expected[i]), 1.0);
-    r.max_rel_err = std::max(r.max_rel_err,
-                             std::abs(expected[i] - actual[i]) / denom);
+void compare_row(const MainMemory& mem, std::uint64_t addr,
+                 std::span<const double> expected, VerifyResult& r) {
+  const std::uint8_t* actual = mem.raw(addr, expected.size() * sizeof(double));
+  for (const double e : expected) {
+    double a;
+    std::memcpy(&a, actual, sizeof(double));
+    actual += sizeof(double);
+    r.add(e, a);
   }
-  return r;
 }
 
 std::uint64_t MemLayout::alloc(std::uint64_t bytes) {

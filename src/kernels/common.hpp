@@ -8,7 +8,11 @@
 #ifndef ARAXL_KERNELS_COMMON_HPP
 #define ARAXL_KERNELS_COMMON_HPP
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,6 +26,18 @@ namespace araxl {
 struct VerifyResult {
   double max_rel_err = 0.0;
   std::uint64_t checked = 0;
+
+  /// Folds one output element. Its error is |e - a| / max(|e|, 1) (absolute
+  /// error for tiny values); an error that is NaN (a NaN output, or a
+  /// finite output where the golden is infinite) counts as +inf, so it
+  /// fails every tolerance.
+  void add(double expected, double actual) {
+    ++checked;
+    if (expected == actual) return;
+    const double err = std::abs(expected - actual) / std::max(std::abs(expected), 1.0);
+    max_rel_err = std::isnan(err) ? std::numeric_limits<double>::infinity()
+                                  : std::max(max_rel_err, err);
+  }
 
   [[nodiscard]] bool ok(double tol) const { return max_rel_err <= tol; }
 };
@@ -48,7 +64,13 @@ class Kernel {
   /// Useful DP-FLOP of the last built problem (the paper's accounting).
   [[nodiscard]] virtual std::uint64_t useful_flops() const = 0;
 
-  /// Compares machine results (in memory) against the scalar reference.
+  /// Compares machine results against the scalar reference of the last
+  /// build. The golden is computed one output row at a time, in cache order,
+  /// with every element's FP operation chain in the kernel's dataflow order
+  /// (so tolerance-0 kernels match bit for bit), and each row is compared
+  /// in place against the machine's memory with compare_row(): no full-size
+  /// golden and no copy of the output. `checked` is the exact number of
+  /// output elements; any NaN error fails (see VerifyResult::add).
   [[nodiscard]] virtual VerifyResult verify(const Machine& m) const = 0;
 
   /// Verification tolerance (relative); exact-dataflow kernels use 0.
@@ -101,9 +123,10 @@ std::uint64_t elems_for_bytes_per_lane(const MachineConfig& cfg,
 std::vector<double> random_doubles(std::uint64_t n, double lo, double hi,
                                    std::uint64_t seed);
 
-/// Max relative error between two spans (absolute error for tiny values).
-VerifyResult compare_doubles(const std::vector<double>& expected,
-                             const std::vector<double>& actual);
+/// Folds one golden row into `r`, compared in place against the doubles
+/// at [addr, addr + 8 * expected.size()) of `mem`: one bounds check per row.
+void compare_row(const MainMemory& mem, std::uint64_t addr,
+                 std::span<const double> expected, VerifyResult& r);
 
 /// Simple bump allocator for laying out kernel buffers in main memory.
 class MemLayout {

@@ -85,21 +85,25 @@ class Fconv2dKernel final : public Kernel {
   }
 
   [[nodiscard]] VerifyResult verify(const Machine& m) const override {
-    std::vector<double> expected(std::uint64_t{kRows} * n_);
+    // r-dr-c-dc: each filter row sweeps a whole output row, folding its
+    // seven taps per element, so every element keeps its dr-major,
+    // dc-minor fma chain.
+    VerifyResult res;
+    std::vector<double> row(n_);
     for (unsigned r = 0; r < kRows; ++r) {
-      for (std::uint64_t c = 0; c < n_; ++c) {
-        double acc = 0.0;
-        for (unsigned dr = 0; dr < kF; ++dr) {
-          for (unsigned dc = 0; dc < kF; ++dc) {
-            acc = std::fma(in_[(std::uint64_t{r + dr} * in_cols_) + c + dc],
-                           f_[dr * kF + dc], acc);
-          }
+      std::fill(row.begin(), row.end(), 0.0);
+      for (unsigned dr = 0; dr < kF; ++dr) {
+        const double* in = in_.data() + std::uint64_t{r + dr} * in_cols_;
+        const double* w = f_.data() + dr * kF;
+        for (std::uint64_t c = 0; c < n_; ++c) {
+          double acc = row[c];
+          for (unsigned dc = 0; dc < kF; ++dc) acc = std::fma(in[c + dc], w[dc], acc);
+          row[c] = acc;
         }
-        expected[std::uint64_t{r} * n_ + c] = acc;
       }
+      compare_row(m.mem(), out_addr_ + std::uint64_t{r} * n_ * 8, row, res);
     }
-    return compare_doubles(expected,
-                           m.mem().load_doubles(out_addr_, std::uint64_t{kRows} * n_));
+    return res;
   }
 
   [[nodiscard]] double tolerance() const override { return 0.0; }  // same dataflow

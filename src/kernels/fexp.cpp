@@ -102,9 +102,11 @@ class FexpKernel final : public Kernel {
   }
 
   [[nodiscard]] VerifyResult verify(const Machine& m) const override {
-    std::vector<double> expected(n_);
-    for (std::uint64_t i = 0; i < n_; ++i) expected[i] = std::exp(x_[i]);
-    return compare_doubles(expected, m.mem().load_doubles(y_addr_, n_));
+    VerifyResult r;
+    std::vector<double> row(n_);
+    for (std::uint64_t i = 0; i < n_; ++i) row[i] = std::exp(x_[i]);
+    compare_row(m.mem(), y_addr_, row, r);
+    return r;
   }
 
   [[nodiscard]] double tolerance() const override { return 1e-12; }

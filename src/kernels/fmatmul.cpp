@@ -78,17 +78,30 @@ class FmatmulKernel final : public Kernel {
   }
 
   [[nodiscard]] VerifyResult verify(const Machine& m) const override {
-    std::vector<double> expected(kM * n_);
+    // i-k-j: a row of C accumulates rows of B over ascending k, the same
+    // fma chain per element as the vfmacc.vf sequence. kKBlock rows of B
+    // are folded per sweep of the row, so the row is loaded and stored
+    // once per block instead of once per k.
+    constexpr unsigned kKBlock = 8;
+    static_assert(kK % kKBlock == 0);
+    VerifyResult r;
+    std::vector<double> row(n_);
     for (unsigned i = 0; i < kM; ++i) {
-      for (std::uint64_t j = 0; j < n_; ++j) {
-        double acc = 0.0;
-        for (unsigned k = 0; k < kK; ++k) {
-          acc = std::fma(a_[i * kK + k], b_[std::uint64_t{k} * n_ + j], acc);
+      std::fill(row.begin(), row.end(), 0.0);
+      const double* a = a_.data() + i * kK;
+      for (unsigned k = 0; k < kK; k += kKBlock) {
+        const double* b = b_.data() + std::uint64_t{k} * n_;
+        for (std::uint64_t j = 0; j < n_; ++j) {
+          double acc = row[j];
+          for (unsigned kk = 0; kk < kKBlock; ++kk) {
+            acc = std::fma(a[k + kk], b[kk * n_ + j], acc);
+          }
+          row[j] = acc;
         }
-        expected[i * n_ + j] = acc;
       }
+      compare_row(m.mem(), c_addr_ + std::uint64_t{i} * n_ * 8, row, r);
     }
-    return compare_doubles(expected, m.mem().load_doubles(c_addr_, kM * n_));
+    return r;
   }
 
   [[nodiscard]] double tolerance() const override { return 0.0; }  // same dataflow

@@ -108,18 +108,21 @@ class FsoftmaxKernel final : public Kernel {
   }
 
   [[nodiscard]] VerifyResult verify(const Machine& m) const override {
-    std::vector<double> expected(x_.size());
+    VerifyResult res;
+    std::vector<double> out(n_);
     for (unsigned r = 0; r < kRows; ++r) {
       const double* row = x_.data() + std::uint64_t{r} * n_;
       double mx = -std::numeric_limits<double>::infinity();
       for (std::uint64_t c = 0; c < n_; ++c) mx = std::max(mx, row[c]);
       double sum = 0.0;
-      for (std::uint64_t c = 0; c < n_; ++c) sum += std::exp(row[c] - mx);
       for (std::uint64_t c = 0; c < n_; ++c) {
-        expected[std::uint64_t{r} * n_ + c] = std::exp(row[c] - mx) / sum;
+        out[c] = std::exp(row[c] - mx);
+        sum += out[c];
       }
+      for (std::uint64_t c = 0; c < n_; ++c) out[c] /= sum;
+      compare_row(m.mem(), y_addr_ + std::uint64_t{r} * n_ * 8, out, res);
     }
-    return compare_doubles(expected, m.mem().load_doubles(y_addr_, x_.size()));
+    return res;
   }
 
   [[nodiscard]] double tolerance() const override { return 1e-10; }

@@ -93,15 +93,17 @@ class SpmvKernel final : public Kernel {
   }
 
   [[nodiscard]] VerifyResult verify(const Machine& m) const override {
-    std::vector<double> expected(rows_);
+    VerifyResult res;
+    std::vector<double> y(rows_);
     for (std::uint64_t r = 0; r < rows_; ++r) {
       double acc = 0.0;
       for (std::uint64_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
         acc += vals_[k] * x_[cols_idx_[k]];
       }
-      expected[r] = acc;
+      y[r] = acc;
     }
-    return compare_doubles(expected, m.mem().load_doubles(y_addr_, rows_));
+    compare_row(m.mem(), y_addr_, y, res);
+    return res;
   }
 
   [[nodiscard]] double tolerance() const override { return 1e-10; }

@@ -53,11 +53,11 @@ class StreamTriadKernel final : public Kernel {
   [[nodiscard]] std::uint64_t useful_flops() const override { return 2ull * n_; }
 
   [[nodiscard]] VerifyResult verify(const Machine& m) const override {
-    std::vector<double> expected(n_);
-    for (std::uint64_t i = 0; i < n_; ++i) {
-      expected[i] = std::fma(kScale, c_[i], b_[i]);
-    }
-    return compare_doubles(expected, m.mem().load_doubles(a_addr_, n_));
+    VerifyResult r;
+    std::vector<double> row(n_);
+    for (std::uint64_t i = 0; i < n_; ++i) row[i] = std::fma(kScale, c_[i], b_[i]);
+    compare_row(m.mem(), a_addr_, row, r);
+    return r;
   }
 
   [[nodiscard]] double tolerance() const override { return 0.0; }

@@ -92,17 +92,23 @@ void append_line(const std::string& path, std::string line,
 
 std::string serialize_header(const LedgerSpec& spec) {
   std::string out = "{\"type\":\"sweep\",";
-  out += "\"version\":\"" + json_escape(spec.version) + "\",";
+  out += "\"version\":\"";
+  out += json_escape(spec.version);
+  out += "\",";
   out += "\"configs\":[";
   for (std::size_t i = 0; i < spec.configs.size(); ++i) {
     if (i != 0) out += ",";
-    out += "\"" + json_escape(spec.configs[i]) + "\"";
+    out += '"';
+    out += json_escape(spec.configs[i]);
+    out += '"';
   }
   out += "],";
   out += "\"kernels\":[";
   for (std::size_t i = 0; i < spec.kernels.size(); ++i) {
     if (i != 0) out += ",";
-    out += "\"" + json_escape(spec.kernels[i]) + "\"";
+    out += '"';
+    out += json_escape(spec.kernels[i]);
+    out += '"';
   }
   out += "],";
   out += "\"bpl\":[";
@@ -111,9 +117,12 @@ std::string serialize_header(const LedgerSpec& spec) {
     out += store::json_u64(spec.bytes_per_lane[i]);
   }
   out += "],";
-  out += "\"base_seed\":" + store::json_u64(spec.base_seed) + ",";
-  out += std::string("\"verify\":") + (spec.verify ? "true" : "false") + ",";
-  out += "\"jobs\":" + store::json_u64(spec.jobs);
+  out += "\"base_seed\":";
+  out += store::json_u64(spec.base_seed);
+  out += ",\"verify\":";
+  out += spec.verify ? "true" : "false";
+  out += ",\"jobs\":";
+  out += store::json_u64(spec.jobs);
   out += "}";
   return with_check(std::move(out));
 }

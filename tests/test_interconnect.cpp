@@ -361,18 +361,6 @@ TEST(Vlsu, ElementwisePredicate) {
   EXPECT_TRUE(elementwise_mem_op(Op::kVluxei));
 }
 
-TEST(Vlsu, LaneSharesBalanced) {
-  const VrfMapping map(Topology{4, 4}, 16384);
-  const std::uint64_t vl = 256;
-  // Every lane of every cluster receives exactly vl/(L*C) elements when vl
-  // is a multiple of the machine width.
-  for (unsigned c = 0; c < 4; ++c) {
-    for (unsigned l = 0; l < 4; ++l) {
-      EXPECT_EQ(vlsu_lane_byte_share(map, vl, 8, c, l), vl / 16 * 8);
-    }
-  }
-}
-
 TEST(Cva6, ScalarCosts) {
   const MachineConfig cfg = MachineConfig::araxl(16);
   const Cva6Model cva6(cfg);

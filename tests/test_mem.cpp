@@ -1,7 +1,6 @@
-// Unit tests: main memory and AXI burst decomposition.
+// Unit tests: main memory.
 #include <gtest/gtest.h>
 
-#include "mem/axi.hpp"
 #include "mem/main_memory.hpp"
 
 namespace araxl {
@@ -41,48 +40,6 @@ TEST(MainMemory, ByteAccessUnaligned) {
   mem.store<std::uint64_t>(13, 0x1122334455667788ull);
   EXPECT_EQ(mem.load<std::uint64_t>(13), 0x1122334455667788ull);
   EXPECT_EQ(mem.load<std::uint8_t>(13), 0x88u);  // little-endian
-}
-
-TEST(Axi, AlignedSingleBurst) {
-  const auto bursts = split_bursts(0x1000, 512, 64);
-  ASSERT_EQ(bursts.size(), 1u);
-  EXPECT_EQ(bursts[0].beats, 8u);
-}
-
-TEST(Axi, MisalignmentCostsOneBeat) {
-  EXPECT_EQ(total_beats(0x1000, 512, 64), 8u);
-  EXPECT_EQ(total_beats(0x1008, 512, 64), 9u);  // head + tail partial beats
-  EXPECT_EQ(total_beats(0x1001, 64, 64), 2u);
-}
-
-TEST(Axi, FourKibSplit) {
-  const auto bursts = split_bursts(0x0F80, 0x100, 64);
-  ASSERT_EQ(bursts.size(), 2u);
-  EXPECT_EQ(bursts[0].addr, 0x0F80u);
-  EXPECT_EQ(bursts[0].len_bytes, 0x80u);
-  EXPECT_EQ(bursts[1].addr, 0x1000u);
-  EXPECT_EQ(bursts[1].len_bytes, 0x80u);
-}
-
-TEST(Axi, ZeroLength) {
-  EXPECT_TRUE(split_bursts(0x1000, 0, 64).empty());
-  EXPECT_EQ(total_beats(0x1000, 0, 64), 0u);
-}
-
-TEST(Axi, NonPow2BusRejected) {
-  EXPECT_THROW(split_bursts(0, 64, 48), ContractViolation);
-}
-
-TEST(Axi, BeatsCoverExactSpan) {
-  // Property: for any (addr, len), beats * bus >= len and the aligned span
-  // equals beats * bus.
-  for (std::uint64_t addr : {0ull, 1ull, 7ull, 63ull, 0xFFFull}) {
-    for (std::uint64_t len : {1ull, 64ull, 100ull, 4096ull, 5000ull}) {
-      const std::uint64_t beats = total_beats(addr, len, 64);
-      EXPECT_GE(beats * 64, len);
-      EXPECT_LE(beats * 64, len + 2 * 64 + 4096 / 64 * 0 + 64);  // head+tail
-    }
-  }
 }
 
 }  // namespace
