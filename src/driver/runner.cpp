@@ -5,6 +5,7 @@
 #include <chrono>
 #include <exception>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <thread>
 
@@ -372,14 +373,28 @@ std::vector<JobResult> run_jobs(const std::vector<Job>& jobs,
   workers = static_cast<unsigned>(
       std::min<std::size_t>(workers, jobs.size()));
 
+  // Largest problems first (Graham's LPT rule, sized by lanes x B/lane, the
+  // weak-scaling work measure), ties in job order, so the widest machines
+  // never run alone at the end while the other workers sit idle.
+  std::vector<std::size_t> order(jobs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  const auto work = [&jobs](std::size_t i) {
+    return std::uint64_t{jobs[i].cfg.total_lanes()} * jobs[i].bytes_per_lane;
+  };
+  std::stable_sort(order.begin(), order.end(),
+                   [&work](std::size_t a, std::size_t b) {
+                     return work(a) > work(b);
+                   });
+
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{0};
   std::mutex progress_mu;
 
   const auto worker = [&] {
     for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= jobs.size()) return;
+      const std::size_t slot = next.fetch_add(1, std::memory_order_relaxed);
+      if (slot >= jobs.size()) return;
+      const std::size_t i = order[slot];
       try {
         results[i] = run_job(jobs[i], opts);
       } catch (...) {

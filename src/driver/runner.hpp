@@ -1,10 +1,11 @@
 // Thread-pooled batch runner with fault tolerance.
 //
-// Executes expanded jobs on a worker pool. Every job gets its own Machine
-// and Kernel instance (Machines are non-movable and self-referencing, so
-// workers construct them in place), runs build -> simulate -> verify, and
-// reports into a result slot indexed by job order — results are therefore
-// deterministic and byte-stable across worker counts.
+// Executes expanded jobs on a worker pool, largest problems first (see
+// run_jobs). Every job gets its own Machine and Kernel instance (Machines
+// are non-movable and self-referencing, so workers construct them in
+// place), runs build -> simulate -> verify, and reports into a result slot
+// indexed by job order — results are therefore deterministic and
+// byte-stable across worker counts.
 //
 // Failure handling is layered (see driver/errors.hpp for the taxonomy):
 //   * every throw — including non-std::exception throws — is isolated
@@ -148,8 +149,12 @@ struct RunnerOptions {
 /// loop. Never throws: every failure mode is folded into the result.
 JobResult run_job(const Job& job, const RunnerOptions& opts);
 
-/// Runs all jobs on `opts.workers` threads; the result vector is indexed
-/// by job order regardless of completion order.
+/// Runs all jobs on `opts.workers` threads. Workers take jobs largest
+/// problem first — descending `cfg.total_lanes() * bytes_per_lane`, ties in
+/// job-index order — one fixed order for every worker count. `progress`
+/// fires, and the store appends records, in completion order; the result
+/// vector is indexed by job order regardless, so reports, store record
+/// contents, shards and trace exports do not depend on dispatch order.
 std::vector<JobResult> run_jobs(const std::vector<Job>& jobs,
                                 const RunnerOptions& opts);
 

@@ -162,7 +162,11 @@ TEST(ConfigSpec, RejectsOutOfRangeValuesInsteadOfTruncating) {
 // ---- runner: determinism across worker counts -------------------------------
 
 TEST(Runner, SweepReportsByteIdenticalFor1And8Workers) {
-  const SweepSpec spec = small_spec(42);
+  // Mixed lane counts and B/lane points, so the largest-first dispatch
+  // order differs from job order.
+  SweepSpec spec = small_spec(42);
+  spec.configs.push_back(parse_config_spec("araxl:64"));
+  spec.bytes_per_lane.push_back(256);
 
   RunnerOptions serial;
   serial.workers = 1;
@@ -172,7 +176,7 @@ TEST(Runner, SweepReportsByteIdenticalFor1And8Workers) {
   pooled.workers = 8;
   const std::vector<JobResult> r8 = run_sweep(spec, pooled);
 
-  ASSERT_EQ(r1.size(), 6u);
+  ASSERT_EQ(r1.size(), 18u);
   for (const JobResult& r : r1) EXPECT_TRUE(r.ok) << r.error;
   EXPECT_EQ(to_json(r1), to_json(r8));
   EXPECT_EQ(to_csv(r1), to_csv(r8));
@@ -193,6 +197,41 @@ TEST(Runner, ProgressReportsEveryJobExactlyOnce) {
   (void)run_sweep(spec, opts);
   EXPECT_EQ(seen.size(), 6u);
   EXPECT_EQ(max_done, 6u);
+}
+
+TEST(Runner, DispatchesLargestProblemsFirst) {
+  // Job i = (config, kernel, bpl) in config-major order; the work measure
+  // is total lanes x B/lane, with ties between both configs.
+  SweepSpec spec;
+  spec.configs = {parse_config_spec("araxl:16"), parse_config_spec("araxl:64")};
+  spec.kernels = {"fdotproduct", "exp"};
+  spec.bytes_per_lane = {64, 256};
+  const std::vector<Job> jobs = expand(spec);
+  ASSERT_EQ(jobs.size(), 8u);
+
+  // With one worker, completion order is dispatch order.
+  RunnerOptions opts;
+  opts.workers = 1;
+  std::vector<std::size_t> finished;
+  opts.progress = [&](const JobResult& r, std::size_t, std::size_t) {
+    finished.push_back(r.job.index);
+  };
+  const std::vector<JobResult> results = run_jobs(jobs, opts);
+
+  // 16384 (64L x 256) > 4096 (16L x 256 and 64L x 64) > 1024 (16L x 64),
+  // ties in job-index order.
+  EXPECT_EQ(finished, (std::vector<std::size_t>{5, 7, 1, 3, 4, 6, 0, 2}));
+
+  // Results stay indexed by job and match running each job on its own.
+  std::vector<JobResult> reference;
+  for (const Job& j : jobs) reference.push_back(run_job(j, RunnerOptions{}));
+  ASSERT_EQ(results.size(), jobs.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].job.index, i);
+    EXPECT_TRUE(results[i].ok) << results[i].error;
+  }
+  EXPECT_EQ(to_json(results), to_json(reference));
+  EXPECT_EQ(to_csv(results), to_csv(reference));
 }
 
 // ---- runner: golden verifiers + failure isolation ---------------------------
