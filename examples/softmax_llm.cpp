@@ -33,31 +33,37 @@ int main() {
   ExpRegs regs;
   regs.x = 6;
 
+  // Each pass strip-mines: its full strips are a declared loop (batched
+  // by the simulator in steady state), a partial tail strip follows.
+  const auto strips = [&](Lmul lmul, const auto& strip) {
+    const std::uint64_t vlmax = pb.vlmax(Sew::k64, lmul);
+    pb.loop(n / vlmax, [&](std::uint64_t i) { strip(i * vlmax); });
+    if (n % vlmax != 0) strip(n / vlmax * vlmax);
+  };
+
   // Pass 1: global max (strip-accumulated vfredmax).
   pb.vsetvli(n, Sew::k64, kLmul1);
   pb.vfmv_s_f(30, -std::numeric_limits<double>::infinity());
-  for (std::uint64_t done = 0; done < n;) {
-    const std::uint64_t vl = pb.vsetvli(n - done, Sew::k64, kLmul1);
+  strips(kLmul1, [&](std::uint64_t done) {
+    pb.vsetvli(n - done, Sew::k64, kLmul1);
     pb.vle(4, x_addr + done * 8);
     pb.vfredmax(30, 4, 30);
     pb.scalar_cycles(2);
-    done += vl;
-  }
+  });
   pb.vfmv_f_s(30);
 
   // Pass 2: exp(x - max) and global sum.
   pb.vsetvli(n, Sew::k64, kLmul1);
   pb.vfmv_s_f(31, 0.0);
-  for (std::uint64_t done = 0; done < n;) {
-    const std::uint64_t vl = pb.vsetvli(n - done, Sew::k64, kLmul1);
+  strips(kLmul1, [&](std::uint64_t done) {
+    pb.vsetvli(n - done, Sew::k64, kLmul1);
     pb.vle(4, x_addr + done * 8);
     pb.vfsub_vf_acc(regs.x, 4);
-    emit_exp_core(pb, regs);
+    emit_exp_core(pb, regs, /*horner_loop=*/false);  // inside the strip loop
     pb.vse(regs.out, e_addr + done * 8);
     pb.vfredusum(31, regs.out, 31);
     pb.scalar_cycles(2);
-    done += vl;
-  }
+  });
   pb.vfmv_f_s(31);
 
   // Reciprocal once on the vector divider, then normalize.
@@ -65,14 +71,13 @@ int main() {
   pb.vfmv_s_f(28, 1.0);
   pb.vfdiv_vv(28, 28, 31);
   pb.vfmv_f_s(28);
-  for (std::uint64_t done = 0; done < n;) {
-    const std::uint64_t vl = pb.vsetvli(n - done, Sew::k64, kLmul8);
+  strips(kLmul8, [&](std::uint64_t done) {
+    pb.vsetvli(n - done, Sew::k64, kLmul8);
     pb.vle(8, e_addr + done * 8);
     pb.vfmul_vf_acc(16, 8);
     pb.vse(16, y_addr + done * 8);
     pb.scalar_cycles(2);
-    done += vl;
-  }
+  });
 
   const RunStats stats = m.run(pb.take());
 

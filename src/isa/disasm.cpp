@@ -45,15 +45,15 @@ std::string disasm(const VInstr& in) {
 
 std::string disasm(const Program& prog, std::size_t max_ops) {
   std::string out = "program '" + prog.name + "' (" +
-                    std::to_string(prog.ops.size()) + " ops, " +
+                    std::to_string(prog.size()) + " ops, " +
                     std::to_string(prog.vinstr_count()) + " vector)\n";
-  std::size_t idx = 0;
-  for (const auto& op : prog.ops) {
+  for (std::size_t idx = 0; idx < prog.size(); ++idx) {
     if (idx >= max_ops) {
-      out += "  ... (" + std::to_string(prog.ops.size() - idx) + " more)\n";
+      out += "  ... (" + std::to_string(prog.size() - idx) + " more)\n";
       break;
     }
     out += strprintf("  %5zu: ", idx);
+    const ProgOp op = prog.op(idx);
     if (const auto* s = std::get_if<ScalarOp>(&op)) {
       switch (s->kind) {
         case ScalarOp::Kind::kCycles:
@@ -66,7 +66,6 @@ std::string disasm(const Program& prog, std::size_t max_ops) {
       out += disasm(std::get<VInstr>(op));
     }
     out += '\n';
-    ++idx;
   }
   return out;
 }

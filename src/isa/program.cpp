@@ -1,6 +1,7 @@
 #include "isa/program.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 
 #include "common/bits.hpp"
@@ -8,13 +9,40 @@
 
 namespace araxl {
 
+ProgOp ProgramLoop::op(std::uint64_t it, std::size_t pos) const {
+  const BodyOp& b = body[pos];
+  ProgOp out = b.op;
+  if (auto* in = std::get_if<VInstr>(&out)) {
+    in->addr += it * static_cast<std::uint64_t>(b.addr_step);
+    in->avl += it * static_cast<std::uint64_t>(b.avl_step);
+    if (b.fs_col != kConstFs) in->fs = fs[b.fs_col + it];
+  }
+  return out;
+}
+
+ProgOp Program::op(std::size_t i) const {
+  // The last loop that starts at or before i.
+  const auto next = std::upper_bound(
+      loops_.begin(), loops_.end(), i,
+      [](std::size_t x, const ProgramLoop& l) { return x < l.start; });
+  if (next == loops_.begin()) return straight_[i];
+  const ProgramLoop& l = *(next - 1);
+  const std::size_t k = i - l.start;
+  if (k < l.size()) return l.op(k / l.body.size(), k % l.body.size());
+  return straight_[l.straight_before + (k - l.size())];
+}
+
 std::size_t Program::vinstr_count() const {
+  const auto is_v = [](const ProgOp& op) { return std::holds_alternative<VInstr>(op); };
   std::size_t n = 0;
-  for (const auto& op : ops) n += std::holds_alternative<VInstr>(op) ? 1 : 0;
+  for (const ProgOp& op : straight_) n += is_v(op) ? 1 : 0;
+  for (const ProgramLoop& l : loops_) {
+    for (const ProgramLoop::BodyOp& b : l.body) n += is_v(b.op) ? l.count : 0;
+  }
   return n;
 }
 
-std::size_t Program::scalar_op_count() const { return ops.size() - vinstr_count(); }
+std::size_t Program::scalar_op_count() const { return size() - vinstr_count(); }
 
 OpKey op_key(const ProgOp& op, std::uint64_t vlen_bits) {
   OpKey k;
@@ -41,94 +69,17 @@ OpKey op_key(const ProgOp& op, std::uint64_t vlen_bits) {
   return k;
 }
 
-namespace {
-
-/// Region scan of keys[lo, hi) (see find_loop_regions). Appends the regions
-/// to `out` when non-null and returns the sum of their scores.
-std::size_t scan_loop_regions(const std::vector<OpKey>& keys, std::size_t lo,
-                              std::size_t hi, std::size_t max_period,
-                              std::vector<LoopRegion>* out) {
-  std::size_t total = 0;
-  std::size_t i = lo;
-  while (i < hi) {
-    // Score = ops past the warm-up, coverage - 3 * period; only candidates
-    // scoring >= 0 can ever retire a batched period.
-    LoopRegion best;
-    std::size_t best_score = 0;
-    const std::size_t p_cap = std::min(max_period, (hi - i) / 3);
-    for (std::size_t p = 1; p <= p_cap; ++p) {
-      // (hi - i) - 3p bounds every period-p score: once that cannot beat
-      // the best (ties go to the smaller period), no longer period can.
-      if (best.period != 0 && hi - i - 3 * p <= best_score) break;
-      std::size_t e = 0;
-      if (best.period != 0 && p % best.period == 0 && i + 2 * p <= best.end) {
-        e = best.end;  // a multiple of a verified period holds up to its end
-      } else {
-        // Cheap prefilter before the O(p) window compare.
-        if (keys[i] != keys[i + p]) continue;
-        std::size_t j = 1;
-        while (j < p && keys[i + j] == keys[i + p + j]) ++j;
-        if (j < p) continue;
-        e = i + 2 * p;
-      }
-      while (e < hi && keys[e] == keys[e - p]) ++e;
-      if (e - i < 3 * p) continue;
-      const std::size_t score = e - i - 3 * p;
-      if (best.period == 0 || score > best_score) {
-        best = LoopRegion{i, e, p};
-        best_score = score;
-      }
-    }
-    if (best.period == 0) {
-      ++i;
-      continue;
-    }
-    // The region swallows whatever shorter loops repeat inside each of its
-    // periods; keep those instead when, judged by the first period times
-    // the period count, they would batch more (a few long iterations of an
-    // unrolled body whose inner loop runs many short ones).
-    const std::size_t inner =
-        scan_loop_regions(keys, i, i + best.period, best.period - 1, nullptr);
-    if (inner * ((best.end - i) / best.period) > best_score) {
-      total += scan_loop_regions(keys, i, best.end, best.period - 1, out);
-    } else {
-      if (out != nullptr) out->push_back(best);
-      total += best_score;
-    }
-    i = best.end;
-  }
-  return total;
-}
-
-}  // namespace
-
-std::vector<LoopRegion> find_loop_regions(const std::vector<OpKey>& keys,
-                                          std::size_t max_period) {
-  std::vector<LoopRegion> out;
-  scan_loop_regions(keys, 0, keys.size(), max_period, &out);
-  return out;
-}
-
-std::size_t phase_super_period(const Program& prog, const LoopRegion& region,
-                               std::uint64_t bus_bytes) {
-  const std::size_t p = region.period;
+std::size_t phase_super_period(const ProgramLoop& loop, std::uint64_t bus_bytes) {
   const auto bus = static_cast<std::int64_t>(bus_bytes);
-  const auto addr = [&](std::size_t i) { return std::get<VInstr>(prog.ops[i]).addr; };
   std::size_t m = 1;
-  for (std::size_t first = region.start; first < region.start + p; ++first) {
-    const auto* in = std::get_if<VInstr>(&prog.ops[first]);
+  for (const ProgramLoop::BodyOp& b : loop.body) {
+    const auto* in = std::get_if<VInstr>(&b.op);
     if (in == nullptr || (in->op != Op::kVle && in->op != Op::kVse)) continue;
-    const std::uint64_t d = addr(first + p) - addr(first);
-    bool constant = true;
-    for (std::size_t i = first + p; constant && i + p < region.end; i += p) {
-      constant = addr(i + p) - addr(i) == d;
-    }
-    if (!constant) continue;
-    // Phase step per period, reduced from the signed delta so a descending
-    // walk and a non-power-of-two bus both come out right.
-    const std::int64_t step = (static_cast<std::int64_t>(d) % bus + bus) % bus;
+    // Phase step per iteration, reduced from the signed step so a
+    // descending walk and a non-power-of-two bus both come out right.
+    const std::int64_t step = (b.addr_step % bus + bus) % bus;
     m = std::lcm(m, static_cast<std::size_t>(bus / std::gcd(step, bus)));
-    if (m * p > region.end - region.start) break;
+    if (m * loop.body.size() > loop.size()) break;
   }
   return m;
 }
@@ -140,18 +91,111 @@ ProgramBuilder::ProgramBuilder(std::uint64_t vlen_bits, std::string name)
   prog_.name = std::move(name);
 }
 
+// ---- loops ------------------------------------------------------------------
+
+void ProgramBuilder::begin_loop(std::uint64_t count) {
+  check(!in_loop_, "loops may not nest");
+  in_loop_ = true;
+  ProgramLoop l;
+  l.start = prog_.size_;
+  l.count = count;
+  l.straight_before = prog_.straight_.size();
+  prog_.loops_.push_back(std::move(l));
+}
+
+void ProgramBuilder::next_iteration(std::uint64_t it) {
+  const ProgramLoop& l = prog_.loops_.back();
+  check(it <= 1 || loop_pos_ == l.body.size(),
+        "a loop iteration emitted fewer ops than iteration 0");
+  loop_it_ = it;
+  loop_pos_ = 0;
+  validate_ = it < 2;
+}
+
+void ProgramBuilder::end_loop() {
+  ProgramLoop& l = prog_.loops_.back();
+  check(l.count <= 1 || loop_pos_ == l.body.size(),
+        "a loop iteration emitted fewer ops than iteration 0");
+  in_loop_ = false;
+  validate_ = true;
+  if (l.size() == 0) {
+    prog_.loops_.pop_back();
+    return;
+  }
+  prog_.size_ += l.size();
+}
+
+void ProgramBuilder::emit(const ProgOp& op) {
+  if (!in_loop_) {
+    prog_.straight_.push_back(op);
+    ++prog_.size_;
+    return;
+  }
+  ProgramLoop& l = prog_.loops_.back();
+  if (loop_it_ == 0) {
+    l.body.push_back(ProgramLoop::BodyOp{op});
+    return;
+  }
+  check(loop_pos_ < l.body.size(), "a loop iteration emitted more ops than iteration 0");
+  match(l.body[loop_pos_++], op);
+}
+
+void ProgramBuilder::match(ProgramLoop::BodyOp& b, const ProgOp& op) {
+  constexpr std::string_view kDiffers =
+      "a loop iteration's op differs from iteration 0's beyond an address "
+      "or AVL step and its scalar operand";
+  if (const auto* s = std::get_if<ScalarOp>(&op)) {
+    const auto* t = std::get_if<ScalarOp>(&b.op);
+    check(t != nullptr && t->kind == s->kind && t->count == s->count, kDiffers);
+    return;
+  }
+  const VInstr& in = std::get<VInstr>(op);
+  const auto* t = std::get_if<VInstr>(&b.op);
+  check(t != nullptr && t->op == in.op && t->vd == in.vd && t->vs1 == in.vs1 &&
+            t->vs2 == in.vs2 && t->masked == in.masked && t->xs == in.xs &&
+            t->fs_from_acc == in.fs_from_acc && t->stride == in.stride &&
+            t->vtype == in.vtype,
+        kDiffers);
+  if (in.op == Op::kVsetvli) {
+    check(vsetvl_result(vlen_bits_, in.avl, in.vtype) ==
+              vsetvl_result(vlen_bits_, t->avl, t->vtype),
+          "a loop iteration's vsetvli grants a different vl than iteration 0's");
+  }
+  // addr and avl: affine in the iteration, the step fixed by iteration 1.
+  const auto affine = [&](std::uint64_t v0, std::uint64_t v, std::int64_t& step) {
+    const std::uint64_t d = v - v0;
+    if (loop_it_ == 1) {
+      step = static_cast<std::int64_t>(d);
+    } else {
+      check(d == loop_it_ * static_cast<std::uint64_t>(step),
+            "a loop iteration's address or AVL does not advance by a fixed step");
+    }
+  };
+  affine(t->addr, in.addr, b.addr_step);
+  affine(t->avl, in.avl, b.avl_step);
+  // fs: a column of per-iteration values from the first iteration whose
+  // bits differ from iteration 0's.
+  ProgramLoop& l = prog_.loops_.back();
+  if (b.fs_col == ProgramLoop::kConstFs) {
+    if (std::bit_cast<std::uint64_t>(in.fs) == std::bit_cast<std::uint64_t>(t->fs)) {
+      return;
+    }
+    b.fs_col = static_cast<std::uint32_t>(l.fs.size());
+    l.fs.resize(l.fs.size() + l.count, t->fs);
+  }
+  l.fs[b.fs_col + loop_it_] = in.fs;
+}
+
+void ProgramBuilder::raw(const VInstr& in) { emit(in); }
+
 void ProgramBuilder::scalar_cycles(std::uint32_t n) {
   if (n == 0) return;
-  prog_.ops.emplace_back(ScalarOp{ScalarOp::Kind::kCycles, n});
+  emit(ScalarOp{ScalarOp::Kind::kCycles, n});
 }
 
-void ProgramBuilder::scalar_load() {
-  prog_.ops.emplace_back(ScalarOp{ScalarOp::Kind::kLoad, 1});
-}
+void ProgramBuilder::scalar_load() { emit(ScalarOp{ScalarOp::Kind::kLoad, 1}); }
 
-void ProgramBuilder::scalar_store() {
-  prog_.ops.emplace_back(ScalarOp{ScalarOp::Kind::kStore, 1});
-}
+void ProgramBuilder::scalar_store() { emit(ScalarOp{ScalarOp::Kind::kStore, 1}); }
 
 std::uint64_t ProgramBuilder::vlmax(Sew sew, Lmul lmul) const {
   return araxl::vlmax(vlen_bits_, Vtype{sew, lmul});
@@ -165,11 +209,12 @@ std::uint64_t ProgramBuilder::vsetvli(std::uint64_t avl, Sew sew, Lmul lmul) {
   in.op = Op::kVsetvli;
   in.avl = avl;
   in.vtype = vtype_;
-  prog_.ops.emplace_back(in);
+  emit(in);
   return vl_;
 }
 
 void ProgramBuilder::check_vreg(unsigned v, bool grouped) const {
+  if (!validate_) return;
   check(v < kNumVregs, "vector register index out of range");
   if (grouped && vtype_set_) {
     const unsigned group = vtype_.lmul.group_regs();
@@ -179,16 +224,18 @@ void ProgramBuilder::check_vreg(unsigned v, bool grouped) const {
 
 VInstr ProgramBuilder::make(Op op, unsigned vd, unsigned vs1, unsigned vs2,
                             bool masked) const {
-  check(vtype_set_, "vsetvli must precede vector instructions");
-  const OpSpec& spec = op_spec(op);
-  // Single-element accesses (vfmv.s.f destination, vfmv.f.s source) are
-  // exempt from LMUL register-group alignment, as are mask destinations.
-  const bool vd_grouped = !spec.writes_mask && op != Op::kVfmvSF;
-  if (spec.writes_vd || spec.reads_vd) check_vreg(vd, vd_grouped);
-  if (spec.reads_vs1) check_vreg(vs1);
-  if (spec.reads_vs2) check_vreg(vs2, op != Op::kVfmvFS);
-  if (masked && spec.writes_vd && !spec.writes_mask) {
-    check(vd != 0, "masked op may not write v0");
+  if (validate_) {
+    check(vtype_set_, "vsetvli must precede vector instructions");
+    const OpSpec& spec = op_spec(op);
+    // Single-element accesses (vfmv.s.f destination, vfmv.f.s source) are
+    // exempt from LMUL register-group alignment, as are mask destinations.
+    const bool vd_grouped = !spec.writes_mask && op != Op::kVfmvSF;
+    if (spec.writes_vd || spec.reads_vd) check_vreg(vd, vd_grouped);
+    if (spec.reads_vs1) check_vreg(vs1);
+    if (spec.reads_vs2) check_vreg(vs2, op != Op::kVfmvFS);
+    if (masked && spec.writes_vd && !spec.writes_mask) {
+      check(vd != 0, "masked op may not write v0");
+    }
   }
   VInstr in;
   in.op = op;
@@ -199,7 +246,7 @@ VInstr ProgramBuilder::make(Op op, unsigned vd, unsigned vs1, unsigned vs2,
   return in;
 }
 
-void ProgramBuilder::push(VInstr in) { prog_.ops.emplace_back(in); }
+void ProgramBuilder::push(VInstr in) { emit(in); }
 
 // ---- memory ---------------------------------------------------------------
 
@@ -324,10 +371,9 @@ void ProgramBuilder::vfsgnjn_vv(unsigned vd, unsigned vs2, unsigned vs1) {
   push(make(Op::kVfsgnjnVV, vd, vs1, vs2, false));
 }
 void ProgramBuilder::vfabs(unsigned vd, unsigned vs) {
-  // |x| = sgnj(x, +x is not enough); canonical expansion uses vfsgnjx, we
-  // approximate with sgnj against a non-negative of itself via two ops is
-  // overkill — model provides sgnj semantics, so reuse: vfsgnj.vv vd,vs,vs
-  // only copies; use max(x, -x) instead to stay in the implemented subset.
+  // |x| = max(x, -x). The usual expansion is vfsgnjx.vv vd, vs, vs, which
+  // the ISA subset lacks. vfmax is IEEE 754-2019 maximumNumber, which
+  // orders -0 below +0, so |-0| = +0 as vfsgnjx would give.
   push(make(Op::kVfsgnjnVV, vd, vs, vs, false));  // vd = -vs
   push(make(Op::kVfmaxVV, vd, vd, vs, false));    // vd = max(vs, -vs)
 }
@@ -634,6 +680,7 @@ void ProgramBuilder::vmin_vv(unsigned vd, unsigned vs2, unsigned vs1) {
 }
 
 Program ProgramBuilder::take() {
+  check(!in_loop_, "take() inside a loop");
   Program out = std::move(prog_);
   prog_ = Program{};
   prog_.name = out.name;

@@ -1,8 +1,11 @@
 // Program representation executed by the machine model, and the
 // ProgramBuilder — the public API kernels (and library users) use to write
-// vector programs. A Program is a flat, pre-unrolled sequence of scalar
-// bookkeeping operations (consuming CVA6 cycles) and vector instructions
-// (broadcast to the clusters over the REQI).
+// vector programs. A Program is a sequence of scalar bookkeeping operations
+// (consuming CVA6 cycles) and vector instructions (broadcast to the
+// clusters over the REQI). Kernels declare their strip-mined loops
+// (ProgramBuilder::loop): a loop is stored once, as its first iteration
+// plus per-iteration address/AVL steps and scalar columns, and the timing
+// engine batches it by that declaration.
 #ifndef ARAXL_ISA_PROGRAM_HPP
 #define ARAXL_ISA_PROGRAM_HPP
 
@@ -31,30 +34,71 @@ struct ScalarOp {
 
 using ProgOp = std::variant<ScalarOp, VInstr>;
 
-/// A compiled vector program.
-struct Program {
+/// A declared loop: `count` iterations of one body, stored as iteration
+/// 0's ops plus, per body op, what changes from one iteration to the next.
+/// The builder has checked every other iteration against that description,
+/// so op(it, pos) is exactly the op the iteration emitted.
+struct ProgramLoop {
+  static constexpr std::uint32_t kConstFs = ~std::uint32_t{0};
+
+  struct BodyOp {
+    ProgOp op;                        ///< iteration 0's op
+    std::int64_t addr_step = 0;       ///< addr increment per iteration
+    std::int64_t avl_step = 0;        ///< avl increment per iteration (vsetvli)
+    std::uint32_t fs_col = kConstFs;  ///< start of its column in `fs`
+  };
+
+  std::size_t start = 0;     ///< program index of iteration 0's first op
+  std::uint64_t count = 0;   ///< iterations
+  std::vector<BodyOp> body;
+  /// Per-iteration scalar operands of the body ops whose fs varies, one
+  /// column of `count` values each.
+  std::vector<double> fs;
+  std::size_t straight_before = 0;  ///< straight-line ops before `start`
+
+  [[nodiscard]] std::size_t size() const { return count * body.size(); }
+  [[nodiscard]] std::size_t end() const { return start + size(); }
+  /// Body op `pos` of iteration `it`.
+  [[nodiscard]] ProgOp op(std::uint64_t it, std::size_t pos) const;
+};
+
+/// A compiled vector program: straight-line ops and declared loops.
+class Program {
+ public:
   std::string name;
-  std::vector<ProgOp> ops;
+
+  /// Number of ops the program executes (every loop iteration counted).
+  [[nodiscard]] std::size_t size() const { return size_; }
+  /// The i-th executed op, i < size().
+  [[nodiscard]] ProgOp op(std::size_t i) const;
+  /// Declared loops, in program order.
+  [[nodiscard]] const std::vector<ProgramLoop>& loops() const { return loops_; }
 
   [[nodiscard]] std::size_t vinstr_count() const;
   [[nodiscard]] std::size_t scalar_op_count() const;
+
+ private:
+  friend class ProgramBuilder;
+
+  std::vector<ProgOp> straight_;  ///< ops outside loops, in program order
+  std::vector<ProgramLoop> loops_;
+  std::size_t size_ = 0;
 };
 
 // ---- loop-body signatures --------------------------------------------------
 //
-// The event-driven timing engine batches whole strip-mined loop iterations
-// once the machine reaches steady state. The *signature* of an operation is
-// everything that can influence timing: opcode, register operands, masking,
-// stride, the scalar immediate, and — for vsetvli — the granted vl and
-// vtype (two vsetvlis with different AVLs but the same grant are timing-
-// and architecture-equivalent; that is exactly how strip-mined loops count
-// down their remaining AVL). Memory addresses and FP scalar operands are
-// deliberately excluded: addresses are handled separately by the batcher's
-// arithmetic-progression checks, and fs never reaches the timing model.
-//
-// Signatures are compared field-wise, never by hash: the batcher's
-// correctness must not rest on hash-collision odds (the differential
-// fuzzer includes adversarial near-collision programs).
+// The event-driven timing engine batches whole iterations of a declared
+// loop once the machine reaches steady state. The *signature* of an
+// operation is everything that can influence timing: opcode, register
+// operands, masking, stride, the scalar immediate, and — for vsetvli — the
+// granted vl and vtype (two vsetvlis with different AVLs but the same grant
+// are timing- and architecture-equivalent; that is exactly how strip-mined
+// loops count down their remaining AVL). Memory addresses and FP scalar
+// operands are deliberately excluded: addresses are handled separately by
+// the batcher's per-op barrier analysis, and fs never reaches the timing
+// model. A declared loop's iterations share every body op's signature by
+// construction; the batcher compares signatures only to classify what ends
+// a loop (a vl tail or a grant change).
 struct OpKey {
   std::uint32_t tag = 0;     ///< 0 scalar op, 1 vector instruction
   std::uint32_t op = 0;      ///< Op, or ScalarOp::Kind
@@ -70,38 +114,25 @@ struct OpKey {
 /// Timing signature of `op` on a machine with `vlen_bits` of register.
 [[nodiscard]] OpKey op_key(const ProgOp& op, std::uint64_t vlen_bits);
 
-/// A maximal periodic run of ops[start, end) where every op's signature
-/// equals the signature one `period` earlier — the static shape of a
-/// strip-mined loop. Regions contain at least three full periods.
+/// A declared loop of at least three iterations as the batcher sees it:
+/// ops [start, end) of loop `loop`, batched in whole periods of `period`
+/// ops — the body length, times the bus-phase super-period when the loop
+/// is long enough for three of those.
 struct LoopRegion {
   std::size_t start = 0;
   std::size_t end = 0;
   std::size_t period = 0;
+  std::size_t loop = 0;  ///< index into Program::loops()
 };
 
-/// Scans a signature sequence for periodic regions. At each position it
-/// keeps the period whose region leaves the most ops past the batcher's
-/// recording warm-up (coverage - 3 * period, ties to the smaller period),
-/// so a long loop body wins over a short inner repeat that covers only a
-/// few iterations of it, and a short period that already spans the whole
-/// region is never traded for a multiple of itself. A winning region
-/// still gives way to the shorter loops inside its periods when those,
-/// scored the same way, would leave more ops past their warm-ups. Greedy
-/// and non-overlapping, in program order; `max_period` bounds the
-/// loop-body length considered.
-[[nodiscard]] std::vector<LoopRegion> find_loop_regions(
-    const std::vector<OpKey>& keys, std::size_t max_period = 256);
-
-/// Bus-phase super-period of `region`, in periods: the lcm, over the
-/// region's unit-stride memory positions whose address advances by a
-/// constant delta d per period, of bus_bytes / gcd(d mod bus_bytes,
-/// bus_bytes). After that many periods every such op's bus phase
-/// (addr % bus_bytes) is back where it started, even when it drifts from
-/// one period to the next (a row pitch that is not a bus multiple).
-/// Positions with non-constant deltas do not contribute. Stops early and
-/// returns a value whose span exceeds the region once the lcm does.
-[[nodiscard]] std::size_t phase_super_period(const Program& prog,
-                                             const LoopRegion& region,
+/// Bus-phase super-period of `loop`, in iterations: the lcm, over its
+/// unit-stride memory ops, of bus_bytes / gcd(d mod bus_bytes, bus_bytes)
+/// for the op's address step d. After that many iterations every such
+/// op's bus phase (addr % bus_bytes) is back where it started, even when
+/// it drifts from one iteration to the next (a row pitch that is not a bus
+/// multiple). Stops early and returns a value whose span exceeds the loop
+/// once the lcm does.
+[[nodiscard]] std::size_t phase_super_period(const ProgramLoop& loop,
                                              std::uint64_t bus_bytes);
 
 /// Fluent, validating builder for Programs.
@@ -113,6 +144,26 @@ struct LoopRegion {
 class ProgramBuilder {
  public:
   ProgramBuilder(std::uint64_t vlen_bits, std::string name);
+
+  // ---- loops -------------------------------------------------------------
+  /// Declares a loop: runs `body(it)` for it = 0 .. count-1 and stores
+  /// iteration 0's ops once. Every later iteration must emit the same ops
+  /// with the same signature (op_key, the granted vl of a vsetvli
+  /// included) and the same fields, except that addr and avl may advance
+  /// by a fixed step per iteration (iteration 1 sets it) and fs may vary
+  /// (kept per iteration). Any other difference, and a loop inside a loop,
+  /// throws ContractViolation: a declaration never describes ops that the
+  /// iterations did not emit. Later iterations are only compared with
+  /// iteration 0, never stored.
+  template <class Body>
+  void loop(std::uint64_t count, Body&& body) {
+    begin_loop(count);
+    for (std::uint64_t it = 0; it < count; ++it) {
+      next_iteration(it);
+      body(it);
+    }
+    end_loop();
+  }
 
   // ---- scalar side -------------------------------------------------------
   void scalar_cycles(std::uint32_t n);
@@ -160,7 +211,7 @@ class ProgramBuilder {
   void vfmax_vf(unsigned vd, unsigned vs2, double fs);
   void vfsgnj_vv(unsigned vd, unsigned vs2, unsigned vs1);
   void vfsgnjn_vv(unsigned vd, unsigned vs2, unsigned vs1);
-  void vfabs(unsigned vd, unsigned vs);   // pseudo: vfsgnjx-style via sgnj
+  void vfabs(unsigned vd, unsigned vs);   // pseudo: vd = max(vs, -vs)
   void vfneg(unsigned vd, unsigned vs);   // pseudo: vfsgnjn vd, vs, vs
   void vfcvt_x_f(unsigned vd, unsigned vs2);
   void vfcvt_f_x(unsigned vd, unsigned vs2);
@@ -241,10 +292,20 @@ class ProgramBuilder {
   void vmax_vv(unsigned vd, unsigned vs2, unsigned vs1);
   void vmin_vv(unsigned vd, unsigned vs2, unsigned vs1);
 
+  /// Appends `in` as is, without validation (tests of encodings the
+  /// emitters above never produce).
+  void raw(const VInstr& in);
+
   /// Finalizes and returns the program (builder becomes empty).
   [[nodiscard]] Program take();
 
  private:
+  void begin_loop(std::uint64_t count);
+  void next_iteration(std::uint64_t it);
+  void end_loop();
+  /// Stores `op`, or checks it against the loop body when replaying.
+  void emit(const ProgOp& op);
+  void match(ProgramLoop::BodyOp& b, const ProgOp& op);
   void push(VInstr in);
   void check_vreg(unsigned v, bool grouped = true) const;
   VInstr make(Op op, unsigned vd, unsigned vs1, unsigned vs2, bool masked) const;
@@ -255,6 +316,15 @@ class ProgramBuilder {
   Vtype vtype_{};
   std::uint64_t vl_ = 0;
   bool vtype_set_ = false;
+
+  // Declared-loop state: iteration and body position being emitted.
+  bool in_loop_ = false;
+  std::uint64_t loop_it_ = 0;
+  std::size_t loop_pos_ = 0;
+  /// Register-group checks run for iterations 0 and 1 only: every later
+  /// iteration starts in iteration 1's vtype state and emits the same
+  /// registers (match() proves it), so it passes them too.
+  bool validate_ = true;
 };
 
 }  // namespace araxl

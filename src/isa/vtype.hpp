@@ -27,6 +27,8 @@ struct Lmul {
   [[nodiscard]] constexpr unsigned group_regs() const noexcept {
     return log2 <= 0 ? 1u : 1u << log2;
   }
+
+  friend bool operator==(const Lmul&, const Lmul&) = default;
 };
 
 constexpr Lmul kLmul1{0};

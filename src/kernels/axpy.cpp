@@ -37,15 +37,17 @@ class AxpyKernel final : public Kernel {
     // Same shape as the bench's build_axpy: a fixed register pair per
     // iteration (no double-buffering) keeps the op signature periodic.
     ProgramBuilder pb(cfg.effective_vlen(), "axpy");
-    std::uint64_t done = 0;
-    while (done < n_) {
-      const std::uint64_t vl = pb.vsetvli(n_ - done, Sew::k64, kLmul4);
+    const auto strip = [&](std::uint64_t done) {
+      pb.vsetvli(n_ - done, Sew::k64, kLmul4);
       pb.vle(8, x_addr_ + done * 8);
       pb.vle(16, y_addr_ + done * 8);
       pb.vfmacc_vf(16, kA, 8);  // y += a*x in place
       pb.vse(16, y_addr_ + done * 8);
-      done += vl;
-    }
+    };
+    // Full strips as a loop, then the vl tail.
+    const std::uint64_t vlmax = pb.vlmax(Sew::k64, kLmul4);
+    pb.loop(n_ / vlmax, [&](std::uint64_t s) { strip(s * vlmax); });
+    if (n_ % vlmax != 0) strip(n_ / vlmax * vlmax);
     return pb.take();
   }
 

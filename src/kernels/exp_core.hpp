@@ -31,8 +31,10 @@ struct ExpRegs {
 };
 
 /// Emits the exp sequence computing out = exp(x) elementwise under the
-/// builder's current vtype (must be e64).
-void emit_exp_core(ProgramBuilder& pb, const ExpRegs& regs);
+/// builder's current vtype (must be e64). The Horner steps are declared as
+/// a loop when `horner_loop` is set; a caller that is itself inside a
+/// declared loop passes false (loops do not nest).
+void emit_exp_core(ProgramBuilder& pb, const ExpRegs& regs, bool horner_loop);
 
 /// FPU-busy instruction slots per element of the sequence (for the
 /// Table-I instruction-mix accounting).

@@ -49,13 +49,12 @@ class Fconv2dKernel final : public Kernel {
     std::uint64_t col = 0;
     while (col < n_) {
       const std::uint64_t vl = pb.vsetvli(n_ - col, Sew::k64, kLmul2);
-      for (unsigned r = 0; r < kRows; ++r) {
+      pb.loop(kRows, [&](std::uint64_t r) {
         pb.vfmv_v_f(acc, 0.0);
         unsigned slide_rot = 0;
         for (unsigned dr = 0; dr < kF; ++dr) {
           const unsigned row = rowbuf[dr % 2];
-          const std::uint64_t row_base =
-              in_addr_ + (std::uint64_t{r + dr} * in_cols_ + col) * 8;
+          const std::uint64_t row_base = in_addr_ + ((r + dr) * in_cols_ + col) * 8;
           pb.vle(row, row_base);
           pb.vfmacc_vf(acc, f_[dr * kF + 0], row);
           unsigned cur = row;
@@ -63,8 +62,7 @@ class Fconv2dKernel final : public Kernel {
             const unsigned nxt = slidebuf[slide_rot++ % 6];
             // Fill value: the element just past the strip, column
             // col + vl - 1 + dc of input row r+dr.
-            const double fill =
-                in_[(std::uint64_t{r + dr} * in_cols_) + col + vl - 1 + dc];
+            const double fill = in_[((r + dr) * in_cols_) + col + vl - 1 + dc];
             pb.vfslide1down(nxt, cur, fill);
             pb.vfmacc_vf(acc, f_[dr * kF + dc], nxt);
             cur = nxt;
@@ -72,9 +70,9 @@ class Fconv2dKernel final : public Kernel {
           pb.scalar_load();   // filter/input pointer reload
           pb.scalar_cycles(1);
         }
-        pb.vse(acc, out_addr_ + (std::uint64_t{r} * n_ + col) * 8);
+        pb.vse(acc, out_addr_ + (r * n_ + col) * 8);
         pb.scalar_cycles(2);
-      }
+      });
       col += vl;
     }
     return pb.take();

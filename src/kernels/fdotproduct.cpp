@@ -41,15 +41,17 @@ class FdotproductKernel final : public Kernel {
     pb.vfmv_v_f(16, 0.0);   // zero the accumulator group
     pb.vfmv_s_f(24, 0.0);   // reduction seed
 
-    std::uint64_t done = 0;
-    while (done < n_) {
-      const std::uint64_t vl = pb.vsetvli(n_ - done, Sew::k64, kLmul8);
+    const auto strip = [&](std::uint64_t done) {
+      pb.vsetvli(n_ - done, Sew::k64, kLmul8);
       pb.vle(0, a_addr_ + done * 8);
       pb.vle(8, b_addr_ + done * 8);
       pb.vfmacc_vv(16, 0, 8);
       pb.scalar_cycles(2);  // pointer bumps + branch
-      done += vl;
-    }
+    };
+    // Full strips as a loop, then the vl tail.
+    const std::uint64_t vlmax = pb.vlmax(Sew::k64, kLmul8);
+    pb.loop(n_ / vlmax, [&](std::uint64_t s) { strip(s * vlmax); });
+    if (n_ % vlmax != 0) strip(n_ / vlmax * vlmax);
     pb.vsetvli(acc_elems_, Sew::k64, kLmul8);
     pb.vfredusum(25, 16, 24);
     pb.vfmv_f_s(25);

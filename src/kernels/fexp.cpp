@@ -34,7 +34,7 @@ constexpr double kCoeff[12] = {
 
 }  // namespace
 
-void emit_exp_core(ProgramBuilder& pb, const ExpRegs& regs) {
+void emit_exp_core(ProgramBuilder& pb, const ExpRegs& regs, bool horner_loop) {
   check(pb.vtype().sew == Sew::k64 && pb.vtype().lmul.log2 == 0,
         "exp core requires e64, m1");
   // Range reduction: k = round(x*log2e), r = x - k*ln2 (Cody-Waite split).
@@ -46,9 +46,14 @@ void emit_exp_core(ProgramBuilder& pb, const ExpRegs& regs) {
   pb.vfnmsac_vf(regs.r, kLn2Lo, regs.kf);
   // Degree-11 Horner polynomial for e^r.
   pb.vfmv_v_f(regs.p, kCoeff[11]);
-  for (int k = 10; k >= 0; --k) {
-    pb.vfmv_v_f(regs.coeff, kCoeff[k]);
+  const auto step = [&](std::uint64_t it) {
+    pb.vfmv_v_f(regs.coeff, kCoeff[10 - it]);
     pb.vfmadd_vv(regs.p, regs.r, regs.coeff);
+  };
+  if (horner_loop) {
+    pb.loop(11, step);
+  } else {
+    for (std::uint64_t it = 0; it < 11; ++it) step(it);
   }
   // Reconstruction: out = p * 2^k with 2^k built in the exponent field.
   pb.vadd_vx(regs.scale, regs.ki, 1023);
@@ -89,7 +94,7 @@ class FexpKernel final : public Kernel {
       const std::uint64_t vl = pb.vsetvli(n_ - done, Sew::k64, kLmul1);
       regs.x = 4 + (flip++ % 2);  // double-buffer the input register
       pb.vle(regs.x, x_addr_ + done * 8);
-      emit_exp_core(pb, regs);
+      emit_exp_core(pb, regs, /*horner_loop=*/true);
       pb.vse(regs.out, y_addr_ + done * 8);
       pb.scalar_cycles(2);  // pointer bumps + branch
       done += vl;

@@ -53,16 +53,21 @@ class FmatmulKernel final : public Kernel {
       const std::uint64_t vl = pb.vsetvli(n_ - col, Sew::k64, ml);
       for (unsigned i0 = 0; i0 < kM; i0 += rb) {
         for (unsigned i = 0; i < rb; ++i) pb.vfmv_v_f(acc0 + i * g, 0.0);
-        for (unsigned k = 0; k < kK; ++k) {
-          const unsigned bb = bbuf[k % 2];
-          pb.vle(bb, b_addr_ + (std::uint64_t{k} * n_ + col) * 8);
-          for (unsigned i = 0; i < rb; ++i) {
-            pb.scalar_load();     // fld of A[i0+i][k]
-            pb.scalar_cycles(1);  // row-pointer bump (CVA6 is single-issue)
-            pb.vfmacc_vf(acc0 + i * g, a_[(i0 + i) * kK + k], bb);
+        // The k loop, two steps per iteration: B rows alternate between
+        // the two bbuf registers.
+        static_assert(kK % 2 == 0);
+        pb.loop(kK / 2, [&](std::uint64_t kp) {
+          for (auto k = static_cast<unsigned>(2 * kp); k < 2 * kp + 2; ++k) {
+            const unsigned bb = bbuf[k % 2];
+            pb.vle(bb, b_addr_ + (std::uint64_t{k} * n_ + col) * 8);
+            for (unsigned i = 0; i < rb; ++i) {
+              pb.scalar_load();     // fld of A[i0+i][k]
+              pb.scalar_cycles(1);  // row-pointer bump (CVA6 is single-issue)
+              pb.vfmacc_vf(acc0 + i * g, a_[(i0 + i) * kK + k], bb);
+            }
+            pb.scalar_cycles(1);  // pointer bump + branch
           }
-          pb.scalar_cycles(1);  // pointer bump + branch
-        }
+        });
         for (unsigned i = 0; i < rb; ++i) {
           pb.vse(acc0 + i * g, c_addr_ + ((i0 + i) * n_ + col) * 8);
         }

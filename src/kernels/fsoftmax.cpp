@@ -45,9 +45,9 @@ class FsoftmaxKernel final : public Kernel {
     ExpRegs regs;
     regs.x = 6;  // exp input is the shifted row (v6), loaded rows use v4/v5
 
-    for (unsigned row = 0; row < kRows; ++row) {
-      const std::uint64_t row_base = x_addr_ + std::uint64_t{row} * n_ * 8;
-      const std::uint64_t out_base = y_addr_ + std::uint64_t{row} * n_ * 8;
+    pb.loop(kRows, [&](std::uint64_t row) {
+      const std::uint64_t row_base = x_addr_ + row * n_ * 8;
+      const std::uint64_t out_base = y_addr_ + row * n_ * 8;
 
       // Pass 1: running max across strips (seed v30, result v30).
       pb.vsetvli(n_, Sew::k64, kLmul1);
@@ -73,7 +73,7 @@ class FsoftmaxKernel final : public Kernel {
         const unsigned xv = 4 + (flip++ % 2);
         pb.vle(xv, row_base + done * 8);
         pb.vfsub_vf_acc(regs.x, xv);  // x - max (scalar from accumulator)
-        emit_exp_core(pb, regs);
+        emit_exp_core(pb, regs, /*horner_loop=*/false);
         pb.vse(regs.out, scratch_addr_ + done * 8);
         pb.vfredusum(31, regs.out, 31);
         pb.scalar_cycles(2);
@@ -99,7 +99,7 @@ class FsoftmaxKernel final : public Kernel {
         done += vl;
       }
       pb.scalar_cycles(3);  // row loop bookkeeping
-    }
+    });
     return pb.take();
   }
 

@@ -56,8 +56,8 @@ class Jacobi2dKernel final : public Kernel {
     const unsigned t1 = 24;
     const unsigned t2 = 28;
 
-    const auto row_center_addr = [&](unsigned input_row, std::uint64_t col) {
-      return in_addr_ + (std::uint64_t{input_row} * in_cols_ + col + 1) * 8;
+    const auto row_center_addr = [&](std::uint64_t input_row, std::uint64_t col) {
+      return in_addr_ + (input_row * in_cols_ + col + 1) * 8;
     };
 
     std::uint64_t col = 0;
@@ -66,12 +66,12 @@ class Jacobi2dKernel final : public Kernel {
       // Prime the first two input rows of this strip.
       pb.vle(rowreg[0], row_center_addr(0, col));
       pb.vle(rowreg[1], row_center_addr(1, col));
-      for (unsigned r = 0; r < kRows; ++r) {
+      const auto row = [&](std::uint64_t r) {
         const unsigned up = rowreg[r % 3];
         const unsigned center = rowreg[(r + 1) % 3];
         const unsigned down = rowreg[(r + 2) % 3];
         pb.vle(down, row_center_addr(r + 2, col));
-        const std::uint64_t crow = std::uint64_t{r + 1} * in_cols_;
+        const std::uint64_t crow = (r + 1) * in_cols_;
         pb.vfslide1up(left, center, in_[crow + col]);
         pb.vfslide1down(right, center, in_[crow + col + 1 + vl]);
         pb.vfadd_vv(t1, up, down);
@@ -79,9 +79,15 @@ class Jacobi2dKernel final : public Kernel {
         pb.vfadd_vv(t1, t1, t2);
         pb.vfadd_vv(t1, t1, center);
         pb.vfmul_vf(t1, t1, kW);
-        pb.vse(t1, out_addr_ + (std::uint64_t{r} * n_ + col) * 8);
+        pb.vse(t1, out_addr_ + (r * n_ + col) * 8);
         pb.scalar_cycles(3);  // row pointer bumps + branch
-      }
+      };
+      // Rows in triples, as the row registers rotate three deep; the rows
+      // past the last whole triple follow straight-line.
+      pb.loop(kRows / 3, [&](std::uint64_t t) {
+        for (std::uint64_t r = 3 * t; r < 3 * t + 3; ++r) row(r);
+      });
+      for (std::uint64_t r = kRows / 3 * 3; r < kRows; ++r) row(r);
       col += vl;
     }
     return pb.take();

@@ -32,21 +32,27 @@ class StreamTriadKernel final : public Kernel {
     m.mem().store_doubles(c_addr_, c_);
 
     ProgramBuilder pb(cfg.effective_vlen(), "stream_triad");
-    std::uint64_t done = 0;
-    unsigned flip = 0;
-    while (done < n_) {
-      const std::uint64_t vl = pb.vsetvli(n_ - done, Sew::k64, kLmul8);
+    const std::uint64_t vlmax = pb.vlmax(Sew::k64, kLmul8);
+    const auto strip = [&](std::uint64_t s) {
+      const std::uint64_t done = s * vlmax;
+      pb.vsetvli(n_ - done, Sew::k64, kLmul8);
       // Double-buffer between the two LMUL=8 group pairs (v0/v8, v16/v24).
-      const unsigned bb = flip % 2 == 0 ? 0 : 16;
-      const unsigned cc = flip % 2 == 0 ? 8 : 24;
-      ++flip;
+      const unsigned bb = s % 2 == 0 ? 0 : 16;
+      const unsigned cc = s % 2 == 0 ? 8 : 24;
       pb.vle(bb, b_addr_ + done * 8);
       pb.vle(cc, c_addr_ + done * 8);
       pb.vfmacc_vf(bb, kScale, cc);  // b += s*c in place
       pb.vse(bb, a_addr_ + done * 8);
       pb.scalar_cycles(2);
-      done += vl;
-    }
+    };
+    // Full strips in pairs (one per register set) as a loop, then the
+    // unpaired full strip and the vl tail.
+    const std::uint64_t full = n_ / vlmax;
+    pb.loop(full / 2, [&](std::uint64_t pair) {
+      strip(2 * pair);
+      strip(2 * pair + 1);
+    });
+    for (std::uint64_t s = full / 2 * 2; s * vlmax < n_; ++s) strip(s);
     return pb.take();
   }
 

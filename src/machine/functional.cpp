@@ -107,6 +107,19 @@ T fp_result(double v) {
   return fp_out<T>(v);
 }
 
+/// IEEE 754-2019 minimumNumber / maximumNumber, which RVV specifies for
+/// vfmin/vfmax and their reductions: a NaN operand, quiet or signaling,
+/// yields the other one, and -0 orders below +0. std::fmin/std::fmax
+/// leave the signed-zero tie open and turn a signaling NaN into a NaN.
+double min_number(double a, double b) {
+  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) ? b : a;
+  return a < b || (a == b && std::signbit(a)) ? a : b;
+}
+double max_number(double a, double b) {
+  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) ? b : a;
+  return a > b || (a == b && !std::signbit(a)) ? a : b;
+}
+
 /// `n` elements of type T from `vreg` on, as one element-order span.
 template <typename T>
 T* elems(Vrf& vrf, unsigned vreg, std::uint64_t n) {
@@ -300,13 +313,13 @@ void FunctionalEngine::exec_elementwise(const VInstr& in, const std::uint8_t* m)
     case Op::kVfmsacVF:
       return fp([fs](double x, double, double z) { return std::fma(fs, x, -z); });
     case Op::kVfminVV:
-      return fp([](double x, double y, double) { return std::fmin(x, y); });
+      return fp([](double x, double y, double) { return min_number(x, y); });
     case Op::kVfminVF:
-      return fp([fs](double x, double, double) { return std::fmin(x, fs); });
+      return fp([fs](double x, double, double) { return min_number(x, fs); });
     case Op::kVfmaxVV:
-      return fp([](double x, double y, double) { return std::fmax(x, y); });
+      return fp([](double x, double y, double) { return max_number(x, y); });
     case Op::kVfmaxVF:
-      return fp([fs](double x, double, double) { return std::fmax(x, fs); });
+      return fp([fs](double x, double, double) { return max_number(x, fs); });
     case Op::kVfsgnjVV:
       return run(m, [](T x, T y, T, W) { return T((x & ~kSign) | (y & kSign)); });
     case Op::kVfsgnjnVV:
@@ -384,8 +397,8 @@ void FunctionalEngine::exec_reduction(const VInstr& in, const std::uint8_t* m) {
   };
   switch (in.op) {
     case Op::kVfredusum: reduce([](double s, double x) { return s + x; }); break;
-    case Op::kVfredmax: reduce([](double s, double x) { return std::fmax(s, x); }); break;
-    case Op::kVfredmin: reduce([](double s, double x) { return std::fmin(s, x); }); break;
+    case Op::kVfredmax: reduce(max_number); break;
+    case Op::kVfredmin: reduce(min_number); break;
     default: fail("unhandled reduction");
   }
   vrf_.write_elem(in.vd, 0, sizeof(T), fp_result<T>(acc));

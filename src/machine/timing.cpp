@@ -515,8 +515,8 @@ bool TimingEngine::reg_pending_write(unsigned reg) const {
 }
 
 void TimingEngine::tick_cva6(Cycle t) {
-  if (t < cva6_free_ || pc_ >= prog_->ops.size()) return;
-  const ProgOp& op = prog_->ops[pc_];
+  if (t < cva6_free_ || pc_ >= prog_->size()) return;
+  const ProgOp op = prog_->op(pc_);
 
   if (const auto* s = std::get_if<ScalarOp>(&op)) {
     cva6_free_ = t + cva6_.scalar_cost(*s);
@@ -649,8 +649,9 @@ StallReason TimingEngine::classify_no_fpu(Cycle u) const {
     if (op_spec(p.in.op).unit == Unit::kFpu) return StallReason::kIssuePressure;
   }
   // (c) CVA6 blocked on a scalar-returning op: blame the producer's kind.
-  if (cva6_stall_ == Cva6Stall::kScalarWait && pc_ < prog_->ops.size()) {
-    if (const auto* in = std::get_if<VInstr>(&prog_->ops[pc_])) {
+  if (cva6_stall_ == Cva6Stall::kScalarWait && pc_ < prog_->size()) {
+    const ProgOp op = prog_->op(pc_);
+    if (const auto* in = std::get_if<VInstr>(&op)) {
       const unsigned reg = in->vs2;
       for (auto it = seq_.rbegin(); it != seq_.rend(); ++it) {
         const auto [wb, wc] = write_group(it->in, it->group_regs);
@@ -675,7 +676,7 @@ StallReason TimingEngine::classify_no_fpu(Cycle u) const {
   if (!unitq_[static_cast<std::size_t>(Unit::kAlu)].empty()) {
     return StallReason::kStructuralUnit;
   }
-  if (pc_ < prog_->ops.size() || !seq_.empty()) {
+  if (pc_ < prog_->size() || !seq_.empty()) {
     return StallReason::kIssuePressure;
   }
   return StallReason::kDrainTail;
@@ -823,7 +824,7 @@ void TimingEngine::attribute_range(Cycle a, Cycle b) {
 }
 
 bool TimingEngine::drained() const {
-  return pc_ >= prog_->ops.size() && seq_.empty() && pool_.active() == 0;
+  return pc_ >= prog_->size() && seq_.empty() && pool_.active() == 0;
 }
 
 void TimingEngine::step_cycle(Cycle t) {
@@ -873,7 +874,6 @@ void TimingEngine::reset_run(const Program& prog) {
   watchdog_.reset();
   last_progress_events_ = 0;
   last_progress_cycle_ = 0;
-  op_keys_.clear();
   loop_regions_.clear();
   loop_barriers_.clear();
   loop_last_engageable_.clear();

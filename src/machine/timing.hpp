@@ -153,18 +153,18 @@ class TimingEngine {
 
   // -- steady-state loop batching ---------------------------------------------
   //
-  // The event engine detects when a strip-mined loop has reached steady
-  // state — at two consecutive loop-period boundaries the whole machine
-  // state (rebased to the boundary cycle / pc / instruction id) is
-  // identical — and then retires K whole iterations per wakeup: replaying
-  // the recorded per-iteration stat and trace deltas, executing the
-  // batched ops architecturally, and relabelling the live in-flight window
-  // K periods into the future. Anything that can change the signature
-  // (a vl tail, a mid-loop vsetvli grant change, a non-arithmetic address
-  // progression, a new conflict pattern) makes the snapshots differ or the
-  // program-side checks shrink K, and the engine falls back to per-wakeup
-  // simulation — the batched path is bit-identical to the oracle by
-  // construction (see timing_event.cpp for the full argument).
+  // The event engine detects when a declared loop (ProgramBuilder::loop)
+  // has reached steady state — at two consecutive loop-period boundaries
+  // the whole machine state (rebased to the boundary cycle / pc /
+  // instruction id) is identical — and then retires K whole iterations per
+  // wakeup: replaying the recorded per-iteration stat and trace deltas,
+  // executing the batched ops architecturally, and relabelling the live in-
+  // flight window K periods into the future. A vl tail or grant change
+  // lies outside the loop by construction; a bus-phase drift or a new
+  // conflict pattern makes the snapshots differ or the program-side
+  // barriers shrink K, and the engine falls back to per-wakeup simulation —
+  // the batched path is bit-identical to the oracle by construction (see
+  // timing_event.cpp for the full argument).
   struct LoopCheckpoint {
     bool valid = false;
     Cycle t = 0;
@@ -195,7 +195,7 @@ class TimingEngine {
     std::uint8_t stall_reason = static_cast<std::uint8_t>(kNumStallReasons);
     std::uint64_t stall_slots = 0;
   };
-  /// Computes op signatures + periodic regions + per-region address checks.
+  /// Turns the program's declared loops into regions + per-region barriers.
   void prepare_loop_batching();
   /// Post-step hook: records/compares boundary checkpoints and, in steady
   /// state, batches; *t_io advances by K whole periods when it returns true.
@@ -331,7 +331,6 @@ class TimingEngine {
   std::vector<std::uint32_t> ff_processed_;
 
   // Loop-batching state (event engine only; see prepare_loop_batching).
-  std::vector<OpKey> op_keys_;
   std::vector<LoopRegion> loop_regions_;
   /// Per region: sorted indices of the bounded mem ops a batch may not
   /// dispatch — ops whose bus phase (unit-stride skew) or pairwise conflict

@@ -124,7 +124,7 @@ RunStats TimingEngine::run_event_driven(const Program& prog) {
 void TimingEngine::propose_discrete_events(Cycle t, EventHorizon* horizon) {
   // CVA6's next action, unless it is blocked on machine state (then the
   // unblocking retire/dispatch below is the event).
-  if (pc_ < prog_->ops.size() && cva6_stall_ == Cva6Stall::kNone) {
+  if (pc_ < prog_->size() && cva6_stall_ == Cva6Stall::kNone) {
     horizon->propose(std::max(cva6_free_, t + 1));
   }
   // Sequencer front: REQI arrival, or the next dispatch attempt right
@@ -645,9 +645,9 @@ void TimingEngine::advance_span_store(Inflight& instr, Cycle from, Cycle to) {
 // its evolution from the first — shifted by (D cycles, P ops, dI ids) —
 // provided the only non-serialized inputs also repeat:
 //
-//  * upcoming op signatures: guaranteed inside the precomputed periodic
-//    region (signatures are compared field-wise, so adversarial hash
-//    collisions cannot fake a loop);
+//  * upcoming op signatures: guaranteed inside a declared loop (the
+//    builder compared every iteration with iteration 0 field by field, so
+//    a wrong declaration is rejected at build time, never batched);
 //  * memory addresses. Addresses reach the timing model through exactly
 //    two reads: head_skew(addr) at dispatch of a non-elementwise
 //    (unit-stride) access, and the dispatch-time range-overlap test
@@ -679,15 +679,15 @@ void TimingEngine::advance_span_store(Inflight& instr, Cycle from, Cycle to) {
 // Super-periods. A row pitch that is not a bus multiple (fconv2d's input
 // rows, an unpadded stencil) moves an op's bus phase every period, so
 // check (a) fails at every boundary of the signature period p. Such a
-// phase is still periodic: an op whose address advances by a constant d
-// per period is back at its phase after bus / gcd(d mod bus, bus)
-// periods. A region whose phases repeat every m periods (the lcm over its
-// constant-delta unit-stride ops, phase_super_period) and that holds at
-// least three such windows is batched with period m * p instead. That is
-// still a signature period (p divides it), so everything above — and every
-// check below, which pairs each op with its counterpart one *region*
-// period earlier — applies unchanged, only indexed m signature periods
-// back. Ops with non-constant deltas simply keep their barriers.
+// phase is still periodic: a declared loop advances each op's address by
+// a constant d per iteration, so the op is back at its phase after
+// bus / gcd(d mod bus, bus) iterations. A loop whose phases repeat every
+// m iterations (the lcm over its unit-stride ops, phase_super_period) and
+// that holds at least three such windows is batched with period m * p
+// instead. That is still a signature period (p divides it), so everything
+// above — and every check below, which pairs each op with its counterpart
+// one *region* period earlier — applies unchanged, only indexed m
+// iterations back.
 //
 // Warmup fast-forward: a handful of serialized fields provably cannot
 // influence evolution — issue/dispatch stamps are read only when writing
@@ -710,13 +710,13 @@ void TimingEngine::advance_span_store(Inflight& instr, Cycle from, Cycle to) {
 // ends in the recorded state shifted once more — so applying K windows in
 // closed form and relabelling the live window K periods forward lands on
 // exactly the state the per-wakeup engine would have reached. Anything
-// else — a vl tail (different vsetvli grant), a mid-loop vtype change, a
-// drifting stall pattern — either breaks signature equality, the snapshot
-// match, or the barrier-free requirement, and the engine simply keeps
-// simulating per wakeup (a nested-loop row boundary clamps K to the
-// barrier and re-arms on the far side instead of disabling the region).
-// The EngineEquivalence fuzzers drive loop-heavy and adversarial
-// variants of all of these through both engines.
+// else — a vl tail (different vsetvli grant), a mid-loop vtype change —
+// lies outside the declared loop, and a drifting stall pattern breaks the
+// snapshot match or the barrier-free requirement; the engine then simply
+// keeps simulating per wakeup (a mid-loop barrier clamps K short of it
+// and re-arms on the far side instead of disabling the region). The
+// LoopEquivalence fuzzers drive loop-heavy and adversarial variants of
+// all of these through both engines.
 
 namespace {
 
@@ -759,59 +759,79 @@ Unit mem_unit(Op op) {
 }  // namespace
 
 void TimingEngine::prepare_loop_batching() {
-  const std::size_t n = prog_->ops.size();
-  op_keys_.reserve(n);
-  for (const ProgOp& op : prog_->ops) {
-    op_keys_.push_back(op_key(op, cfg_.effective_vlen()));
-  }
-  loop_regions_ = find_loop_regions(op_keys_);
-  // Super-periods (see the exactness argument above).
-  for (LoopRegion& r : loop_regions_) {
-    const std::size_t m = phase_super_period(*prog_, r, glsu_.bus_bytes());
+  const std::vector<ProgramLoop>& loops = prog_->loops();
+  const std::uint64_t vlen = cfg_.effective_vlen();
+  const std::uint64_t bus = glsu_.bus_bytes();
+
+  // Dispatch-time shape of an op, reproduced the way tick_cva6 sees it:
+  // the grant and vtype of the last vsetvli before the op. Every iteration
+  // of a loop leaves the shape iteration 0 left (its vsetvlis grant
+  // alike), so walking the straight-line ops and one iteration per loop
+  // yields every loop's entry shape.
+  struct Shape {
+    std::uint64_t vl = 0;
+    Vtype vt{};
+  };
+  const auto walk = [&](const ProgOp& op, Shape* s) {
+    const auto* v = std::get_if<VInstr>(&op);
+    if (v != nullptr && v->op == Op::kVsetvli) {
+      s->vt = v->vtype;
+      s->vl = vsetvl_result(vlen, v->avl, v->vtype);
+    }
+  };
+  std::vector<Shape> entries;
+  Shape cur;
+  std::size_t i = 0;
+  for (std::size_t li = 0; li < loops.size(); ++li) {
+    const ProgramLoop& l = loops[li];
+    for (; i < l.start; ++i) walk(prog_->op(i), &cur);
+    i = l.end();
+    const Shape entry = cur;
+    for (const ProgramLoop::BodyOp& b : l.body) walk(b.op, &cur);
+    if (l.count < 3) continue;
+    LoopRegion r{l.start, l.end(), l.body.size(), li};
+    // Super-periods (see the exactness argument above).
+    const std::size_t m = phase_super_period(l, bus);
     if (m > 1 && r.end - r.start >= 3 * m * r.period) r.period *= m;
+    loop_regions_.push_back(r);
+    entries.push_back(entry);
   }
   loop_barriers_.assign(loop_regions_.size(), {});
   loop_last_engageable_.assign(loop_regions_.size(), 0);
-  if (loop_regions_.empty()) return;
-
-  // Dispatch-time shape of every op, reproduced by the same walk tick_cva6
-  // performs (the grant of the last vsetvli before the op). Zero-vl ops
-  // never enter the sequencer, so they are invisible to dispatch and
-  // excluded from every barrier check below.
-  const std::size_t n_ops = prog_->ops.size();
-  std::vector<std::uint64_t> op_vl(n_ops, 0);
-  std::vector<unsigned> op_ew(n_ops, 8);
-  {
-    std::uint64_t vl = 0;
-    Vtype vt{};
-    for (std::size_t i = 0; i < n_ops; ++i) {
-      const auto* v = std::get_if<VInstr>(&prog_->ops[i]);
-      if (v == nullptr) continue;
-      if (v->op == Op::kVsetvli) {
-        vt = v->vtype;
-        vl = vsetvl_result(cfg_.effective_vlen(), v->avl, vt);
-      }
-      op_vl[i] = vl;
-      op_ew[i] = sew_bytes(vt.sew);
-    }
-  }
-
-  const std::uint64_t bus = glsu_.bus_bytes();
-  const auto overlaps = [&](std::size_t a, std::size_t b) {
-    const auto& va = std::get<VInstr>(prog_->ops[a]);
-    const auto& vb = std::get<VInstr>(prog_->ops[b]);
-    std::uint64_t alo = 0;
-    std::uint64_t ahi = 0;
-    std::uint64_t blo = 0;
-    std::uint64_t bhi = 0;
-    mem_range(va, op_vl[a], op_ew[a], &alo, &ahi);
-    mem_range(vb, op_vl[b], op_ew[b], &blo, &bhi);
-    return alo < bhi && blo < ahi;
-  };
 
   for (std::size_t ri = 0; ri < loop_regions_.size(); ++ri) {
     const LoopRegion& r = loop_regions_[ri];
+    const ProgramLoop& l = loops[r.loop];
+    const std::size_t body = l.body.size();
     const std::size_t p = r.period;
+    // Shape per body op: iteration 0 enters with the loop's entry shape,
+    // every later iteration with iteration 0's exit shape. Zero-vl ops
+    // never enter the sequencer, so they are invisible to dispatch and
+    // excluded from every barrier check below.
+    std::vector<Shape> shapes(2 * body);
+    Shape s = entries[ri];
+    for (std::size_t k = 0; k < 2 * body; ++k) {
+      walk(l.body[k % body].op, &s);
+      shapes[k] = s;
+    }
+    std::vector<std::size_t> mem_pos;  // body positions of the memory ops
+    for (std::size_t pos = 0; pos < body; ++pos) {
+      const auto* v = std::get_if<VInstr>(&l.body[pos].op);
+      if (v != nullptr && mem_unit(v->op) != Unit::kNone) mem_pos.push_back(pos);
+    }
+    const std::size_t nmem = mem_pos.size();
+    const std::size_t m = p / body;  // iterations per period
+    // Footprint of every memory op, indexed it * nmem + slot: one period
+    // back is m * nmem entries earlier.
+    struct Footprint {
+      std::uint64_t lo = 0;
+      std::uint64_t hi = 0;
+    };
+    std::vector<Footprint> fp(l.count * nmem);
+    const auto overlaps = [&](std::size_t a, std::size_t b) {
+      return fp[a].lo < fp[b].hi && fp[b].lo < fp[a].hi;
+    };
+
     // Per period: bit 0 = any barrier, bit 1 = a genuine one (skew phase or
     // overlap-outcome change with in-region counterparts, as opposed to the
     // conservative partner-before-region-start case).
@@ -823,43 +843,47 @@ void TimingEngine::prepare_loop_batching() {
     // queued op a full period into the region) and a rebased-index
     // snapshot match, which together put every queue entry at both window
     // boundaries at or past r.start — and a pre-region op never re-enters
-    // a queue. Tracking the partner sets with a forward sweep keeps the
-    // analysis O(ops x depth); a backward scan per op would walk to the
-    // region start every time in regions with no opposite-unit ops of
-    // their own (a pure-load inner loop after a store block).
+    // a queue. Tracking the partner sets (as footprint indices) with a
+    // forward sweep over the loop's memory ops keeps the analysis
+    // O(ops x depth).
     std::vector<std::size_t> recent[kNumUnits];
-    for (std::size_t i = r.start; i < r.end; ++i) {
-      const auto* v = std::get_if<VInstr>(&prog_->ops[i]);
-      if (v == nullptr || op_vl[i] == 0) continue;
-      const Unit u = mem_unit(v->op);
-      if (u == Unit::kNone) continue;
-      if (bounded_mem_op(v->op) && i >= r.start + p) {
-        const std::size_t q = (i - r.start) / p;
-        std::uint8_t f = 0;
-        const auto& prev = std::get<VInstr>(prog_->ops[i - p]);
-        // (a) head_skew repeats only if the bus phase does (unit-stride
-        // ops; strided accesses are elementwise and never read head_skew).
-        if (!elementwise_mem_op(v->op) && v->addr % bus != prev.addr % bus) {
-          f = 3;
-        }
-        // (b) every candidate partner pair's overlap outcome must repeat.
-        const Unit other = u == Unit::kLoad ? Unit::kStore : Unit::kLoad;
-        for (const std::size_t j : recent[static_cast<std::size_t>(other)]) {
-          if (j < p || j - p < r.start) {
-            f |= 1;  // counterpart precedes the region: conservative barrier
-            continue;
+    for (std::uint64_t it = 0; it < l.count; ++it) {
+      for (std::size_t slot = 0; slot < nmem; ++slot) {
+        const std::size_t pos = mem_pos[slot];
+        const std::size_t op = r.start + it * body + pos;
+        const std::size_t fi = it * nmem + slot;
+        const Shape& sh = shapes[it == 0 ? pos : body + pos];
+        VInstr v = std::get<VInstr>(l.body[pos].op);
+        v.addr += it * static_cast<std::uint64_t>(l.body[pos].addr_step);
+        mem_range(v, sh.vl, sew_bytes(sh.vt.sew), &fp[fi].lo, &fp[fi].hi);
+        if (sh.vl == 0) continue;
+        const Unit u = mem_unit(v.op);
+        if (bounded_mem_op(v.op) && it >= m) {
+          std::uint8_t f = 0;
+          // (a) head_skew repeats only if the bus phase does (unit-stride
+          // ops; strided accesses are elementwise and never read
+          // head_skew).
+          const std::uint64_t back = static_cast<std::uint64_t>(l.body[pos].addr_step) * m;
+          if (!elementwise_mem_op(v.op) && v.addr % bus != (v.addr - back) % bus) f = 3;
+          // (b) every candidate partner pair's overlap outcome must repeat.
+          const Unit other = u == Unit::kLoad ? Unit::kStore : Unit::kLoad;
+          for (const std::size_t fj : recent[static_cast<std::size_t>(other)]) {
+            if (fj < m * nmem) {
+              f |= 1;  // counterpart precedes the region: conservative barrier
+              continue;
+            }
+            if (!bounded_mem_op(std::get<VInstr>(l.body[mem_pos[fj % nmem]].op).op)) {
+              continue;  // indexed: conservative conflict both times
+            }
+            if (overlaps(fi, fj) != overlaps(fi - m * nmem, fj - m * nmem)) f = 3;
           }
-          if (!bounded_mem_op(std::get<VInstr>(prog_->ops[j]).op)) {
-            continue;  // indexed: conservative conflict both times
-          }
-          if (overlaps(i, j) != overlaps(i - p, j - p)) f = 3;
+          flags[(op - r.start) / p] |= f;
+          if (f != 0) loop_barriers_[ri].push_back(op);
         }
-        flags[q] |= f;
-        if (f != 0) loop_barriers_[ri].push_back(i);
+        auto& own = recent[static_cast<std::size_t>(u)];
+        own.push_back(fi);
+        if (own.size() > cfg_.unit_queue_depth) own.erase(own.begin());
       }
-      auto& own = recent[static_cast<std::size_t>(u)];
-      own.push_back(i);
-      if (own.size() > cfg_.unit_queue_depth) own.erase(own.begin());
     }
 
     for (std::size_t q = num_periods; q-- > 2;) {
@@ -883,28 +907,21 @@ void TimingEngine::prepare_loop_batching() {
     }
   }
 
-  // Classify how each region terminates (tail vs grant change) — the other
-  // half of the static telemetry.
-  for (std::size_t i = 0; i < loop_regions_.size(); ++i) {
-    const LoopRegion& r = loop_regions_[i];
-    // Classify what terminated the region when it ends on a vsetvli whose
-    // signature diverged from its previous-period counterpart: a smaller
-    // grant at the same vtype is a strip-mine tail; anything else is a
-    // grant/shape change (the canonical mid-loop vsetvli failure).
-    if (r.end < prog_->ops.size() && r.end >= r.start + r.period) {
-      const auto* end_op = std::get_if<VInstr>(&prog_->ops[r.end]);
-      const auto* prev_op = std::get_if<VInstr>(&prog_->ops[r.end - r.period]);
-      if (end_op != nullptr && prev_op != nullptr &&
-          end_op->op == Op::kVsetvli && prev_op->op == Op::kVsetvli &&
-          !(op_keys_[r.end] == op_keys_[r.end - r.period])) {
-        const OpKey& ke = op_keys_[r.end];
-        const OpKey& kp = op_keys_[r.end - r.period];
-        if (ke.vtype == kp.vtype && ke.value < kp.value) {
-          count_batch_reject(BatchReject::kVlTail, 0);
-        } else {
-          count_batch_reject(BatchReject::kGrantChange, 0);
-        }
-      }
+  // Classify what follows each loop when it is a vsetvli whose signature
+  // differs from its previous-period counterpart: a smaller grant at the
+  // same vtype is a strip-mine tail; anything else is a grant/shape change
+  // (the canonical mid-loop vsetvli failure).
+  for (const LoopRegion& r : loop_regions_) {
+    if (r.end == prog_->size()) continue;
+    const OpKey ke = op_key(prog_->op(r.end), vlen);
+    const OpKey kp = op_key(prog_->op(r.end - r.period), vlen);
+    const auto vsetvli = static_cast<std::uint32_t>(Op::kVsetvli);
+    if (ke.tag == 1 && kp.tag == 1 && ke.op == vsetvli && kp.op == vsetvli &&
+        !(ke == kp)) {
+      count_batch_reject(ke.vtype == kp.vtype && ke.value < kp.value
+                             ? BatchReject::kVlTail
+                             : BatchReject::kGrantChange,
+                         0);
     }
   }
 }
@@ -1189,7 +1206,7 @@ void TimingEngine::apply_batch(const LoopRegion& r, std::uint64_t k, Cycle d,
         rec.id = static_cast<std::uint64_t>(static_cast<std::int64_t>(bid) + td.id);
         rec.prog_index =
             static_cast<std::uint64_t>(static_cast<std::int64_t>(bpc) + td.prog);
-        rec.text = disasm(std::get<VInstr>(prog_->ops[rec.prog_index]));
+        rec.text = disasm(std::get<VInstr>(prog_->op(rec.prog_index)));
         rec.unit = td.unit;
         rec.vl = td.vl;
         rec.issued = static_cast<Cycle>(static_cast<std::int64_t>(bt) + td.issued);
@@ -1210,9 +1227,21 @@ void TimingEngine::apply_batch(const LoopRegion& r, std::uint64_t k, Cycle d,
 
   // 2. Architectural execution of every batched op, in program order (the
   // timing pattern is replayed; the data is not — vsetvli grants included,
-  // which the signature proves identical period over period).
-  for (std::size_t i = b2; i < b2 + dp; ++i) {
-    if (const auto* v = std::get_if<VInstr>(&prog_->ops[i])) fn_.exec(*v);
+  // which the declaration proves identical period over period).
+  {
+    const ProgramLoop& l = prog_->loops()[r.loop];
+    const std::size_t body = l.body.size();
+    std::uint64_t it = (b2 - r.start) / body;
+    std::size_t pos = (b2 - r.start) % body;
+    for (std::size_t n = 0; n < dp; ++n) {
+      if (std::holds_alternative<VInstr>(l.body[pos].op)) {
+        fn_.exec(std::get<VInstr>(l.op(it, pos)));
+      }
+      if (++pos == body) {
+        pos = 0;
+        ++it;
+      }
+    }
   }
 
   // 3. Relabel the live window K periods into the future. Pass 1 retargets
@@ -1240,7 +1269,7 @@ void TimingEngine::apply_batch(const LoopRegion& r, std::uint64_t k, Cycle d,
       Inflight& instr = pool_.at(slot);
       instr.id += di;
       instr.prog_index += dp;
-      instr.in = std::get<VInstr>(prog_->ops[instr.prog_index]);
+      instr.in = std::get<VInstr>(prog_->op(instr.prog_index));
       instr.issued_at += shift;
       instr.dispatched_at += shift;
       instr.start_at += shift;
@@ -1255,7 +1284,7 @@ void TimingEngine::apply_batch(const LoopRegion& r, std::uint64_t k, Cycle d,
   }
   for (Pending& p : seq_) {
     p.prog_index += dp;
-    p.in = std::get<VInstr>(prog_->ops[p.prog_index]);
+    p.in = std::get<VInstr>(prog_->op(p.prog_index));
     p.issued_at += shift;
     p.arrive_at += shift;
   }

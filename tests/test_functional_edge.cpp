@@ -111,9 +111,8 @@ TEST(MaskedEdge, ReductionSkipsInactive) {
     in.vs1 = 4;
     in.vs2 = 8;
     in.masked = true;
-    // Emit through a tiny manual program extension:
-    Program p = pb.take();
-    p.ops.emplace_back(in);
+    pb.raw(in);
+    const Program p = pb.take();
     const auto a = random_doubles(vl, -1, 1, 42);
     double expect = 0.0;
     for (std::uint64_t i = 0; i < vl; ++i) {
@@ -348,7 +347,7 @@ TEST(ExpClamps, OverflowToInfUnderflowToZero) {
   ProgramBuilder pb(m.config().effective_vlen(), "clamp");
   pb.vsetvli(4, Sew::k64, kLmul1);
   ExpRegs regs;
-  emit_exp_core(pb, regs);
+  emit_exp_core(pb, regs, /*horner_loop=*/true);
   const Program prog = pb.take();
   m.vrf().write_f64(regs.x, 0, 800.0);    // overflow
   m.vrf().write_f64(regs.x, 1, -800.0);   // underflow
@@ -367,7 +366,7 @@ TEST(ExpCore, AccuracyOverFullRange) {
   const std::uint64_t vl = 128;
   pb.vsetvli(vl, Sew::k64, kLmul1);
   ExpRegs regs;
-  emit_exp_core(pb, regs);
+  emit_exp_core(pb, regs, /*horner_loop=*/false);
   const Program prog = pb.take();
   const auto xs = random_doubles(vl, -700.0, 700.0, 47);
   for (std::uint64_t i = 0; i < vl; ++i) m.vrf().write_f64(regs.x, i, xs[i]);

@@ -85,6 +85,23 @@ std::uint64_t fp_result(double v, unsigned ew) {
   return ew == 8 ? 0x7FF8000000000000 : ew == 4 ? 0x7FC00000 : 0x7E00;
 }
 
+/// IEEE 754-2019 minimumNumber and maximumNumber (RVV vfmin/vfmax and
+/// their reductions), spelled out case by case: a NaN operand yields the
+/// other operand, and -0 is less than +0.
+double minimum_number(double a, double b) {
+  if (std::isnan(a)) return b;
+  if (std::isnan(b)) return a;
+  if (a == 0.0 && b == 0.0) return std::signbit(a) ? a : b;
+  return a < b ? a : b;
+}
+
+double maximum_number(double a, double b) {
+  if (std::isnan(a)) return b;
+  if (std::isnan(b)) return a;
+  if (a == 0.0 && b == 0.0) return std::signbit(a) ? b : a;
+  return a > b ? a : b;
+}
+
 // ---- the reference machine ---------------------------------------------------
 
 class RefMachine {
@@ -166,10 +183,10 @@ std::uint64_t RefMachine::element(const VInstr& in, std::uint64_t i, unsigned ew
     case Op::kVfmaddVF: return f(std::fma(fz(), fs, fx()));
     case Op::kVfmaddVV: return f(std::fma(fz(), fy(), fx()));
     case Op::kVfmsacVF: return f(std::fma(fs, fx(), -fz()));
-    case Op::kVfminVV: return f(std::fmin(fx(), fy()));
-    case Op::kVfminVF: return f(std::fmin(fx(), fs));
-    case Op::kVfmaxVV: return f(std::fmax(fx(), fy()));
-    case Op::kVfmaxVF: return f(std::fmax(fx(), fs));
+    case Op::kVfminVV: return f(minimum_number(fx(), fy()));
+    case Op::kVfminVF: return f(minimum_number(fx(), fs));
+    case Op::kVfmaxVV: return f(maximum_number(fx(), fy()));
+    case Op::kVfmaxVF: return f(maximum_number(fx(), fs));
     case Op::kVfsgnjVV: return (x() & ~sign) | (y() & sign);
     case Op::kVfsgnjnVV: return (x() & ~sign) | (~y() & sign);
     case Op::kVfsqrtV: return f(std::sqrt(fx()));
@@ -284,8 +301,8 @@ void RefMachine::exec(const VInstr& in) {
         if (!active(i)) continue;
         const double v = fp_value(elem(in.vs2, i, ew), ew);
         sum = in.op == Op::kVfredusum ? sum + v
-              : in.op == Op::kVfredmax ? std::fmax(sum, v)
-                                       : std::fmin(sum, v);
+              : in.op == Op::kVfredmax ? maximum_number(sum, v)
+                                       : minimum_number(sum, v);
       }
       elem(in.vd, 0, ew) = fp_result(sum, ew);
       return;
@@ -401,7 +418,7 @@ void RefMachine::exec(const VInstr& in) {
 // ---- the case generator --------------------------------------------------------
 
 enum class View : std::uint8_t { kNone, kData, kWide, kMask };
-enum class Fill : std::uint8_t { kBits, kFp, kSmallFp, kIndex };
+enum class Fill : std::uint8_t { kBits, kFp, kSmallFp, kSpecialFp, kIndex };
 
 struct Roles {
   View vd = View::kNone;
@@ -452,12 +469,15 @@ struct Case {
   bool in_place = false;
   std::uint64_t addr = 0;
   std::int64_t stride = 0;
+  /// FP operands drawn from Fill::kSpecialFp, and a -0.0 scalar operand,
+  /// so signed-zero ties and NaN/infinity operands actually occur.
+  bool specials = false;
 
   [[nodiscard]] std::string describe(const char* machine) const {
     std::ostringstream os;
     os << machine << " " << op_spec(op).mnemonic << " " << vtype_name({sew, lmul})
        << " vl=" << vl << (masked ? " masked" : "") << (in_place ? " in-place" : "")
-       << " addr=" << addr << " stride=" << stride;
+       << " addr=" << addr << " stride=" << stride << (specials ? " specials" : "");
     return os.str();
   }
 };
@@ -506,6 +526,14 @@ void Harness::fill_data(unsigned reg, unsigned nregs, unsigned ew, Fill fill) {
           if ((bits & 1) != 0) bits = fp_bits(rng_.next_double(-4.0, 4.0), ew);
           break;
         case Fill::kSmallFp: bits = fp_bits(rng_.next_double(-3e4, 3e4), ew); break;
+        case Fill::kSpecialFp: {  // half signed zeros, infinities and NaNs
+          constexpr double kInf = std::numeric_limits<double>::infinity();
+          constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+          constexpr double kSpecial[] = {0.0, -0.0, kInf, -kInf, kNaN, -kNaN, 1.0, -1.0};
+          bits = (bits & 1) != 0 ? fp_bits(kSpecial[(bits >> 1) % 8], ew)
+                                 : fp_bits(rng_.next_double(-4.0, 4.0), ew);
+          break;
+        }
         case Fill::kIndex: bits %= 0x4000; break;
       }
       bits &= ones(ew);
@@ -577,7 +605,7 @@ bool Harness::run(const Case& c, const char* machine) {
   VInstr in;
   in.op = c.op;
   in.masked = c.masked;
-  in.fs = -1.375;
+  in.fs = c.specials ? -0.0 : -1.375;
   in.xs = c.op == Op::kVslideupVX || c.op == Op::kVslidedownVX ? 3
           : c.op == Op::kVsllVX || c.op == Op::kVsrlVX       ? 67
                                                              : 0x9E3779B97F4A7C15LL;
@@ -598,6 +626,7 @@ bool Harness::run(const Case& c, const char* machine) {
     }
   };
   const Fill values = c.op == Op::kVfcvtXF ? Fill::kSmallFp
+                      : c.specials         ? Fill::kSpecialFp
                       : fp_op(c.op)        ? Fill::kFp
                                            : Fill::kBits;
   const bool index_src = c.op == Op::kVluxei || c.op == Op::kVsuxei;
@@ -666,6 +695,10 @@ std::vector<Case> cases_for(Op op, std::uint64_t vlen) {
   const bool same_view_src = (roles.vs2 != View::kNone && roles.vs2 == roles.vd) ||
                              (roles.vs1 != View::kNone && roles.vs1 == roles.vd);
   const bool can_in_place = same_view_src && in_place_ok(op);
+  // FP ops run every shape a second time on special operands (vfcvt.x.f
+  // excepted: converting an infinity or NaN to an integer is out of range).
+  std::vector<bool> specials = {false};
+  if (fp_op(op) && op != Op::kVfcvtXF) specials.push_back(true);
   std::vector<Case> out;
   for (const Sew sew : sews) {
     const auto ew = static_cast<std::int64_t>(sew_bytes(sew));
@@ -689,7 +722,10 @@ std::vector<Case> cases_for(Op op, std::uint64_t vlen) {
           for (const bool in_place : {false, true}) {
             if (in_place && !can_in_place) continue;
             for (const auto& [addr, stride] : mem) {
-              out.push_back(Case{op, sew, lmul, masked, vl, in_place, addr, stride});
+              for (const bool special : specials) {
+                out.push_back(
+                    Case{op, sew, lmul, masked, vl, in_place, addr, stride, special});
+              }
             }
           }
         }

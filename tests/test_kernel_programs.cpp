@@ -25,7 +25,8 @@ struct OpCounts {
 
 OpCounts count_ops(const Program& p) {
   OpCounts c;
-  for (const ProgOp& op : p.ops) {
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    const ProgOp op = p.op(i);
     const auto* v = std::get_if<VInstr>(&op);
     if (v == nullptr) continue;
     ++c.total_v;

@@ -508,15 +508,17 @@ TEST(EngineEquivalence, DriverSweepRegistryKernelsMatchOracle) {
 
 // ---- 4. loop batching: steady-state fast-forward vs the oracle --------------
 //
-// The event engine batches whole strip-mined iterations once two
+// The event engine batches whole iterations of a declared loop once two
 // consecutive loop-period boundaries snapshot identically. These programs
 // are built to stress exactly the edges of that detector: long steady
-// loops (must batch, must stay exact through the vl tail), mid-loop vl
-// changes (must fall out of batch mode), and adversarial signature
-// collisions — bodies whose op signatures repeat perfectly while the
-// address pattern silently changes (progression breaks, per-op deltas
-// diverge, or deltas misalign with the bus), which MUST either be rejected
-// by the address checks or still simulate bit-identically.
+// loops (must batch, must stay exact through the vl tail), vl changes
+// inside a body (the grant cycles with the body), and adversarial address
+// walks — per-op steps that differ from one another, a walk that cycles
+// inside a multi-strip body, and deltas that misalign with the bus or
+// overlap the next iteration's load — which MUST either be stopped by the
+// barrier analysis or still simulate bit-identically. (A walk that is not
+// affine in the iteration cannot be declared at all; test_isa covers that
+// rejection.)
 Program loop_program(std::uint64_t vlen_bits, std::uint64_t seed) {
   Rng rng(seed);
   ProgramBuilder pb(vlen_bits, "loopfuzz" + std::to_string(seed));
@@ -532,47 +534,41 @@ Program loop_program(std::uint64_t vlen_bits, std::uint64_t seed) {
   const std::uint64_t variant = rng.next_below(5);
   const std::uint64_t stride_bytes = vlmax_b * 8;
 
-  std::uint64_t a = kBase;
-  std::uint64_t b = kBase + kRegionBytes / 4;
-  std::uint64_t c = kBase + kRegionBytes / 2;
-  std::uint64_t done = 0;
-  std::uint64_t iter = 0;
-  while (done < total) {
-    const std::uint64_t vl = pb.vsetvli(total - done, Sew::k64, lmul);
+  const std::uint64_t a0 = kBase;
+  const std::uint64_t b0 = kBase + kRegionBytes / 4;
+  const std::uint64_t c0 = kBase + kRegionBytes / 2;
+  const auto strip = [&](std::uint64_t iter) {
+    const std::uint64_t done = iter * vlmax_b;
+    const std::uint64_t a = a0 + iter * stride_bytes;
+    pb.vsetvli(total - done, Sew::k64, lmul);
     switch (variant) {
       case 0:  // plain strip-mined triad: the must-batch case
         pb.vle(8, a);
-        pb.vle(16, b);
+        pb.vle(16, b0 + iter * stride_bytes);
         pb.vfmacc_vv(24, 8, 16);
-        pb.vse(24, c);
+        pb.vse(24, c0 + iter * stride_bytes);
         pb.scalar_cycles(2);
-        a += stride_bytes;
-        b += stride_bytes;
-        c += stride_bytes;
         break;
-      case 1: {  // mid-loop vsetvli with an iteration-dependent grant
+      case 1:  // mid-body vsetvli whose grant cycles over a 7-strip body
         pb.vle(8, a);
         pb.vsetvli(1 + (iter % 7), Sew::k64, kLmul1);
         pb.vfadd_vf(16, 8, 1.5);
         pb.vsetvli(total - done, Sew::k64, lmul);
         pb.vfmul_vv(24, 8, 8);
-        a += stride_bytes;
         break;
-      }
-      case 2:  // signature collision: identical keys, diverging per-op deltas
+      case 2: {  // per-op steps that differ, one walk cycling inside the body
+        std::uint64_t c = c0;
+        for (std::uint64_t j = 0; j < iter; ++j) c += 8 * (j % 3);
         pb.vle(8, a);
-        pb.vle(16, b);
+        pb.vle(16, b0 + iter * (stride_bytes / 2));  // not the common step
         pb.vfadd_vv(24, 8, 16);
         pb.vse(24, c);
-        a += stride_bytes;
-        b += stride_bytes / 2;  // not the common delta
-        c += 8 * (iter % 3);    // not even a progression
         break;
+      }
       case 3:  // bus-misaligned deltas + store/load overlap churn
-        pb.vle(8, a);
+        pb.vle(8, a0 + iter * 24);  // not a multiple of any bus width
         pb.vfadd_vf(16, 8, 0.25);
-        pb.vse(16, a + 8);  // overlaps the next iteration's load
-        a += 24;            // not a multiple of any bus width
+        pb.vse(16, a0 + iter * 24 + 8);  // overlaps the next iteration's load
         break;
       default:  // batchable body with slides, reductions and scalar work
         pb.vle(8, a);
@@ -580,12 +576,16 @@ Program loop_program(std::uint64_t vlen_bits, std::uint64_t seed) {
         pb.vfmacc_vv(24, 8, 16);
         pb.vfredusum(30, 24, 31);
         pb.scalar_cycles(1 + seed % 3);
-        a += stride_bytes;
         break;
     }
-    done += vl;
-    ++iter;
-  }
+  };
+  // Full strips as a declared loop whose body is as many strips as the
+  // variant's pattern spans; leftover full strips and the tail follow.
+  const std::uint64_t per = variant == 1 ? 7 : variant == 2 ? 3 : 1;
+  pb.loop(iters / per, [&](std::uint64_t k) {
+    for (std::uint64_t j = 0; j < per; ++j) strip(k * per + j);
+  });
+  for (std::uint64_t iter = iters / per * per; iter * vlmax_b < total; ++iter) strip(iter);
   return pb.take();
 }
 
@@ -637,19 +637,15 @@ Program drifting_program(const MachineConfig& cfg, const DriftShape& s) {
     const std::uint64_t pitch = (s.chunk + s.skew) * 8;
     const std::uint64_t m = super_period(pitch);
     const std::uint64_t total = (s.supers * m + s.extra % m) * s.chunk + s.tail;
-    std::uint64_t a = kBase;
-    std::uint64_t c = out;
-    for (std::uint64_t done = 0; done < total;) {
-      const std::uint64_t vl =
-          pb.vsetvli(std::min(s.chunk, total - done), Sew::k64, kLmul1);
-      pb.vle(8, a);
+    const auto strip = [&](std::uint64_t i) {
+      pb.vsetvli(std::min(s.chunk, total - i * s.chunk), Sew::k64, kLmul1);
+      pb.vle(8, kBase + i * pitch);
       pb.vfmacc_vf(16, 0.5, 8);
-      pb.vse(16, c);
+      pb.vse(16, out + i * s.chunk * 8);
       pb.scalar_cycles(1);
-      a += pitch;
-      c += vl * 8;
-      done += vl;
-    }
+    };
+    pb.loop(total / s.chunk, strip);
+    if (total % s.chunk != 0) strip(total / s.chunk);
     return pb.take();
   }
 
@@ -662,7 +658,7 @@ Program drifting_program(const MachineConfig& cfg, const DriftShape& s) {
   for (std::uint64_t col = 0; col < cols;) {
     const std::uint64_t vl =
         pb.vsetvli(std::min(s.chunk, cols - col), Sew::k64, kLmul1);
-    for (std::uint64_t r = 0; r < rows; ++r) {
+    pb.loop(rows, [&](std::uint64_t r) {
       pb.vfmv_v_f(24, 0.0);
       unsigned rot = 0;
       for (unsigned dr = 0; dr < s.f; ++dr) {
@@ -681,7 +677,7 @@ Program drifting_program(const MachineConfig& cfg, const DriftShape& s) {
       }
       pb.vse(24, out + (r * cols + col) * 8);
       pb.scalar_cycles(2);
-    }
+    });
     col += vl;
   }
   return pb.take();

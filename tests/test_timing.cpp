@@ -3,6 +3,7 @@
 // checked through observable cycle counts of small programs.
 #include <gtest/gtest.h>
 
+#include "common/contracts.hpp"
 #include "kernels/common.hpp"
 #include "machine/machine.hpp"
 #include "machine/timing.hpp"
@@ -434,22 +435,22 @@ TEST(LoopBatching, UnpaddedJacobi2dBatchesInSuperPeriods) {
 
 TEST(LoopBatching, DisengagesOnVlTail) {
   // A strip total that is NOT a multiple of VLMAX ends on a smaller
-  // vsetvli grant: the batcher must stop before the tail iteration and the
-  // run must stay bit-identical to the oracle through it.
+  // vsetvli grant, emitted after the declared loop of full strips: the
+  // batcher must stop before the tail iteration and the run must stay
+  // bit-identical to the oracle through it.
   MachineConfig cfg = MachineConfig::araxl(16);
   const std::uint64_t vlmax_m4 = 4 * cfg.effective_vlen() / 64;
   const std::uint64_t total = 12 * vlmax_m4 + vlmax_m4 / 3;  // partial tail
   const auto body = [&](ProgramBuilder& pb) {
-    std::uint64_t done = 0;
-    std::uint64_t a = kA;
-    while (done < total) {
-      const std::uint64_t vl = pb.vsetvli(total - done, Sew::k64, kLmul4);
+    const auto strip = [&](std::uint64_t i) {
+      const std::uint64_t a = kA + i * vlmax_m4 * 8;
+      pb.vsetvli(total - i * vlmax_m4, Sew::k64, kLmul4);
       pb.vle(8, a);
       pb.vfmacc_vf(16, 1.5, 8);
       pb.vse(16, a + 0x100000);
-      a += vl * 8;
-      done += vl;
-    }
+    };
+    pb.loop(12, strip);
+    strip(12);
   };
   const RunStats ev = run_prog(cfg, body);
   MachineConfig oracle_cfg = cfg;
@@ -461,19 +462,22 @@ TEST(LoopBatching, DisengagesOnVlTail) {
 }
 
 TEST(LoopBatching, DisengagesOnMidLoopVsetvli) {
-  // A mid-loop vsetvli whose grant changes every iteration breaks the
-  // period signature: no batching, identical RunStats either way.
+  // A mid-loop vsetvli whose grant changes every iteration cannot be
+  // declared as one loop: the builder rejects it. Emitted undeclared, the
+  // program runs unbatched with identical RunStats either way.
   MachineConfig cfg = MachineConfig::araxl(16);
   const std::uint64_t vlmax_m2 = 2 * cfg.effective_vlen() / 64;
+  const auto iteration = [&](ProgramBuilder& pb, std::uint64_t i) {
+    pb.vsetvli(vlmax_m2, Sew::k64, kLmul2);
+    pb.vle(8, kA + i * vlmax_m2 * 8);
+    pb.vsetvli(1 + (i % 5), Sew::k64, kLmul1);  // vl changes mid-loop
+    pb.vfadd_vf(16, 8, 1.0);
+  };
+  ProgramBuilder declared(cfg.effective_vlen(), "t");
+  EXPECT_THROW(declared.loop(14, [&](std::uint64_t i) { iteration(declared, i); }),
+               ContractViolation);
   const auto body = [&](ProgramBuilder& pb) {
-    std::uint64_t a = kA;
-    for (std::uint64_t i = 0; i < 14; ++i) {
-      pb.vsetvli(vlmax_m2, Sew::k64, kLmul2);
-      pb.vle(8, a);
-      pb.vsetvli(1 + (i % 5), Sew::k64, kLmul1);  // vl changes mid-loop
-      pb.vfadd_vf(16, 8, 1.0);
-      a += vlmax_m2 * 8;
-    }
+    for (std::uint64_t i = 0; i < 14; ++i) iteration(pb, i);
   };
   const RunStats ev = run_prog(cfg, body);
   MachineConfig oracle_cfg = cfg;
@@ -493,13 +497,11 @@ TEST(LoopBatching, WatchdogCountsBatchedIterationsAsProgress) {
   Machine m(cfg);
   const std::uint64_t vlmax_m4 = 4 * cfg.effective_vlen() / 64;
   ProgramBuilder pb(cfg.effective_vlen(), "wd");
-  std::uint64_t a = kA;
-  for (std::uint64_t i = 0; i < 200; ++i) {
+  pb.loop(200, [&](std::uint64_t i) {
     pb.vsetvli(vlmax_m4, Sew::k64, kLmul4);
-    pb.vle(8, a);
+    pb.vle(8, kA + i * vlmax_m4 * 8);
     pb.vfmacc_vf(16, 1.5, 8);
-    a += vlmax_m4 * 8;
-  }
+  });
   const RunStats s = m.run(pb.take());
   EXPECT_GT(s.batched_iterations, 150u);
   EXPECT_LT(s.wakeups_total, 2000u);
@@ -527,27 +529,28 @@ TEST(LoopBatching, EngagesOnJacobi2dStencil) {
 }
 
 TEST(LoopBatching, RejectCounterAddrProgression) {
-  // Bus-phase breaks at irregular spacing (iterations 5, 9, 16): neither a
-  // per-position progression nor a two-level nest explains them, so the
-  // static pass files the region under addr_progression — while the run
-  // itself stays bit-identical (the barrier gate batches the clean
-  // stretches and stops at each break instead of lying).
+  // The load drifts 8 bytes along the 128-byte bus every iteration, so its
+  // bus phase only repeats every 16 iterations — and 18 iterations hold
+  // fewer than the three super-periods batching needs. Every period then
+  // breaks the load's phase progression: the static pass files the loop
+  // under addr_progression, nothing batches, and the run stays
+  // bit-identical.
   MachineConfig cfg = MachineConfig::araxl(16);
   const std::uint64_t vlmax_m2 = 2 * cfg.effective_vlen() / 64;
-  const std::uint64_t stride = vlmax_m2 * 8;
+  const std::uint64_t stride = vlmax_m2 * 8 + 8;
   const auto body = [&](ProgramBuilder& pb) {
-    for (std::uint64_t i = 0; i < 18; ++i) {
+    pb.loop(18, [&](std::uint64_t i) {
       pb.vsetvli(vlmax_m2, Sew::k64, kLmul2);
-      const std::uint64_t wobble = (i == 5 || i == 9 || i == 16) ? 8 : 0;
-      pb.vle(8, kA + i * stride + wobble);
+      pb.vle(8, kA + i * stride);
       pb.vfadd_vf(16, 8, 1.0);
-    }
+    });
   };
   const RunStats ev = run_prog(cfg, body);
   MachineConfig oracle_cfg = cfg;
   oracle_cfg.timing_mode = TimingMode::kCycleStepped;
   const RunStats oracle = run_prog(oracle_cfg, body);
-  EXPECT_GE(rejects(ev, BatchReject::kAddrProgression), 1u);
+  EXPECT_EQ(rejects(ev, BatchReject::kAddrProgression), 1u);
+  EXPECT_EQ(ev.batched_iterations, 0u);
   EXPECT_TRUE(ev == oracle);
   // The oracle never attempts batching, so it never rejects either.
   for (std::size_t i = 0; i < kNumBatchRejects; ++i) {
@@ -555,25 +558,23 @@ TEST(LoopBatching, RejectCounterAddrProgression) {
   }
 }
 
-TEST(LoopBatching, NestedLoopClampsAtRowBoundaries) {
-  // A two-level tiled loop: twelve strips per row, then the load jumps to
-  // the next row with a bus-phase-breaking pitch. The row jump is a genuine
-  // break in the address walk, so the region files one addr_progression
-  // reject; batching still engages inside rows (once the sequencer backlog
-  // has drained past the previous row boundary), clamps at each row
-  // boundary, re-arms in the next row, and stays bit-identical.
+TEST(LoopBatching, ClampsAtAMidLoopOverlapFlip) {
+  // Loads walk up while stores walk down: the store of iteration j lands
+  // on the load of iteration 40 - j, so around iteration 20 a load and a
+  // recent store overlap where their counterparts one period earlier did
+  // not. Those ops are genuine barriers in the middle of the loop: the
+  // loop files one addr_progression reject, batching engages before the
+  // crossing, clamps short of it, re-arms past it, and stays bit-identical.
   MachineConfig cfg = MachineConfig::araxl(16);
   const std::uint64_t vlmax_m2 = 2 * cfg.effective_vlen() / 64;
   const std::uint64_t stride = vlmax_m2 * 8;
-  const std::uint64_t row_pitch = 12 * stride + 8;  // +8 breaks bus phase
   const auto body = [&](ProgramBuilder& pb) {
-    for (std::uint64_t row = 0; row < 4; ++row) {
-      for (std::uint64_t s = 0; s < 12; ++s) {
-        pb.vsetvli(vlmax_m2, Sew::k64, kLmul2);
-        pb.vle(8, kA + row * row_pitch + s * stride);
-        pb.vfadd_vf(16, 8, 1.0);
-      }
-    }
+    pb.loop(40, [&](std::uint64_t i) {
+      pb.vsetvli(vlmax_m2, Sew::k64, kLmul2);
+      pb.vle(8, kA + i * stride);
+      pb.vfadd_vf(16, 8, 1.0);
+      pb.vse(16, kA + (40 - i) * stride);
+    });
   };
   const RunStats ev = run_prog(cfg, body);
   MachineConfig oracle_cfg = cfg;
@@ -582,6 +583,33 @@ TEST(LoopBatching, NestedLoopClampsAtRowBoundaries) {
   EXPECT_GT(ev.batched_iterations, 0u);
   EXPECT_GE(ev.batch_clamps, 1u);
   EXPECT_EQ(rejects(ev, BatchReject::kAddrProgression), 1u);
+  EXPECT_TRUE(ev == oracle);
+}
+
+TEST(LoopBatching, NestedLoopBatchesEachInnerLoop) {
+  // A two-level tiled loop: twelve strips per row, then the load jumps to
+  // the next row with a bus-phase-breaking pitch. Loops do not nest, so
+  // each row declares its strip loop; every row batches on its own and
+  // the run stays bit-identical.
+  MachineConfig cfg = MachineConfig::araxl(16);
+  const std::uint64_t vlmax_m2 = 2 * cfg.effective_vlen() / 64;
+  const std::uint64_t stride = vlmax_m2 * 8;
+  const std::uint64_t row_pitch = 12 * stride + 8;  // +8 breaks bus phase
+  const auto body = [&](ProgramBuilder& pb) {
+    for (std::uint64_t row = 0; row < 4; ++row) {
+      pb.loop(12, [&](std::uint64_t s) {
+        pb.vsetvli(vlmax_m2, Sew::k64, kLmul2);
+        pb.vle(8, kA + row * row_pitch + s * stride);
+        pb.vfadd_vf(16, 8, 1.0);
+      });
+    }
+  };
+  const RunStats ev = run_prog(cfg, body);
+  MachineConfig oracle_cfg = cfg;
+  oracle_cfg.timing_mode = TimingMode::kCycleStepped;
+  const RunStats oracle = run_prog(oracle_cfg, body);
+  EXPECT_GT(ev.batched_iterations, 0u);
+  EXPECT_EQ(rejects(ev, BatchReject::kAddrProgression), 0u);
   EXPECT_TRUE(ev == oracle);
 }
 
@@ -617,16 +645,15 @@ TEST(LoopBatching, RejectCounterVlTail) {
   const std::uint64_t vlmax_m4 = 4 * cfg.effective_vlen() / 64;
   const std::uint64_t total = 12 * vlmax_m4 + vlmax_m4 / 3;
   const RunStats ev = run_prog(cfg, [&](ProgramBuilder& pb) {
-    std::uint64_t done = 0;
-    std::uint64_t a = kA;
-    while (done < total) {
-      const std::uint64_t vl = pb.vsetvli(total - done, Sew::k64, kLmul4);
+    const auto strip = [&](std::uint64_t i) {
+      const std::uint64_t a = kA + i * vlmax_m4 * 8;
+      pb.vsetvli(total - i * vlmax_m4, Sew::k64, kLmul4);
       pb.vle(8, a);
       pb.vfmacc_vf(16, 1.5, 8);
       pb.vse(16, a + 0x100000);
-      a += vl * 8;
-      done += vl;
-    }
+    };
+    pb.loop(12, strip);
+    strip(12);
   });
   EXPECT_GT(ev.batched_iterations, 0u);  // batches up to the tail...
   EXPECT_GE(rejects(ev, BatchReject::kVlTail), 1u);  // ...and names the stop
@@ -640,13 +667,11 @@ TEST(LoopBatching, RejectCounterGrantChange) {
   MachineConfig cfg = MachineConfig::araxl(16);
   const std::uint64_t vlmax_m4 = 4 * cfg.effective_vlen() / 64;
   const RunStats ev = run_prog(cfg, [&](ProgramBuilder& pb) {
-    std::uint64_t a = kA;
-    for (std::uint64_t i = 0; i < 12; ++i) {
+    pb.loop(12, [&](std::uint64_t i) {
       pb.vsetvli(vlmax_m4, Sew::k64, kLmul4);
-      pb.vle(8, a);
+      pb.vle(8, kA + i * vlmax_m4 * 8);
       pb.vfmacc_vf(16, 1.5, 8);
-      a += vlmax_m4 * 8;
-    }
+    });
     pb.vsetvli(vlmax_m4, Sew::k32, kLmul4);  // vtype changes: region ends here
     pb.vadd_vv(24, 20, 20);
   });
@@ -677,22 +702,26 @@ TEST(LoopBatching, RejectCounterLivenessGateBackstopStaysZero) {
 
 TEST(LoopBatching, SignatureCollisionAddressBreakRejected) {
   // Adversarial: op signatures repeat perfectly, but one load's address
-  // progression silently breaks two periods after steady state would have
-  // been declared. The address checks must clamp the batch before the
-  // break, and every counter must still match the oracle.
+  // progression silently breaks after 10 iterations, jumping backwards so
+  // the store starts colliding with earlier loads. Declared as one loop,
+  // the builder rejects it; declared as the two loops it really is, every
+  // counter matches the oracle.
   MachineConfig cfg = MachineConfig::araxl(16);
   const std::uint64_t vlmax_m2 = 2 * cfg.effective_vlen() / 64;
   const std::uint64_t stride = vlmax_m2 * 8;
+  const auto iteration = [&](ProgramBuilder& pb, std::uint64_t i) {
+    pb.vsetvli(vlmax_m2, Sew::k64, kLmul2);
+    const std::uint64_t a = i < 10 ? kA + i * stride : kA + (i - 10) * stride;
+    pb.vle(8, a);
+    pb.vfadd_vf(16, 8, 2.0);
+    pb.vse(16, a + 0x100000);
+  };
+  ProgramBuilder whole(cfg.effective_vlen(), "t");
+  EXPECT_THROW(whole.loop(16, [&](std::uint64_t i) { iteration(whole, i); }),
+               ContractViolation);
   const auto body = [&](ProgramBuilder& pb) {
-    for (std::uint64_t i = 0; i < 16; ++i) {
-      pb.vsetvli(vlmax_m2, Sew::k64, kLmul2);
-      // Progression holds for 10 iterations, then jumps backwards so the
-      // store starts colliding with earlier loads.
-      const std::uint64_t a = i < 10 ? kA + i * stride : kA + (i - 10) * stride;
-      pb.vle(8, a);
-      pb.vfadd_vf(16, 8, 2.0);
-      pb.vse(16, a + 0x100000);
-    }
+    pb.loop(10, [&](std::uint64_t i) { iteration(pb, i); });
+    pb.loop(6, [&](std::uint64_t i) { iteration(pb, 10 + i); });
   };
   const RunStats ev = run_prog(cfg, body);
   MachineConfig oracle_cfg = cfg;
