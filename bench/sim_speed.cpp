@@ -9,7 +9,9 @@
 //
 // `bench_sim_speed --emit-json <path>` skips google-benchmark and writes
 // the sim-speed trajectory file instead: sim_cycles/s for a fixed kernel x
-// B/lane grid under both engines, stamped with the build's git revision.
+// B/lane grid under both engines, measured in alternating windows (the
+// speedup is the median of the paired window ratios), stamped with the
+// build's git revision.
 // CI regenerates it on every push, uploads it as an artifact, and
 // tools/diff_sim_speed.py gates the event/oracle speedup ratios against
 // the committed baseline (BENCH_sim_speed.json) with a +-20% tolerance —
@@ -17,6 +19,7 @@
 // the engine.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -114,30 +117,61 @@ BENCHMARK(BM_FmatmulSimOracle)->Unit(benchmark::kMillisecond);
 
 // ---- sim-speed trajectory (--emit-json) -------------------------------------
 
-/// Simulated cycles per wall second for `prog` on a fresh run of `m`.
-/// Best-of-windows, not one long average: the hosts this runs on (CI
-/// runners, shared containers) suffer multi-x interference spikes, and
-/// interference only ever slows a run down — so the fastest of several
-/// short windows is the estimate closest to the machine's true rate, and
-/// the one that keeps the event/oracle ratio stable across regenerations.
-double measure_cycles_per_s(Machine& m, const Program& prog,
-                            obs::MetricsRegistry* metrics = nullptr) {
-  // One warmup run (page faults, allocator steady state).
-  m.run(prog, nullptr, nullptr, metrics);
-  double best = 0.0;
-  for (int w = 0; w < 5; ++w) {
-    const auto t0 = std::chrono::steady_clock::now();
-    std::uint64_t total = 0;
-    double elapsed = 0.0;
-    do {
-      total += m.run(prog, nullptr, nullptr, metrics).cycles;
-      elapsed =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-    } while (elapsed < 0.12);
-    best = std::max(best, static_cast<double>(total) / elapsed);
+/// Simulated cycles per wall second of `prog` on `m` over one window of at
+/// least 0.05 s.
+double window_cycles_per_s(Machine& m, const Program& prog,
+                           obs::MetricsRegistry* metrics) {
+  const auto t0 = std::chrono::steady_clock::now();
+  std::uint64_t total = 0;
+  double elapsed = 0.0;
+  do {
+    total += m.run(prog, nullptr, nullptr, metrics).cycles;
+    elapsed =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+  } while (elapsed < 0.05);
+  return static_cast<double>(total) / elapsed;
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+/// One side of a paired measurement: a machine, its program and the
+/// metrics registry it runs with (null for none).
+struct Side {
+  Machine& m;
+  const Program& prog;
+  obs::MetricsRegistry* metrics = nullptr;
+};
+
+struct PairedRates {
+  double a_cycles_per_s;  ///< median window rate of side a
+  double b_cycles_per_s;  ///< median window rate of side b
+  double ratio;           ///< median of the per-pair ratios a / b
+};
+
+/// Rates of two sides measured in alternating windows. The hosts this runs
+/// on (CI runners, shared containers) suffer multi-x interference spikes
+/// that last longer than a window; measured engine by engine, one slow
+/// phase skews a whole ratio. Paired windows share their interference, so
+/// the median of the per-pair ratios is what stays stable across
+/// regenerations.
+PairedRates measure_paired(const Side& a, const Side& b) {
+  // One warmup run each (page faults, allocator steady state).
+  a.m.run(a.prog, nullptr, nullptr, a.metrics);
+  b.m.run(b.prog, nullptr, nullptr, b.metrics);
+  std::vector<double> ra, rb, ratios;
+  for (int w = 0; w < 15; ++w) {
+    // a-b, then b-a: a host slowing down or speeding up across a pair
+    // favours neither side.
+    if (w % 2 == 0) ra.push_back(window_cycles_per_s(a.m, a.prog, a.metrics));
+    rb.push_back(window_cycles_per_s(b.m, b.prog, b.metrics));
+    if (w % 2 != 0) ra.push_back(window_cycles_per_s(a.m, a.prog, a.metrics));
+    ratios.push_back(ra.back() / rb.back());
   }
-  return best;
+  return {median(ra), median(rb), median(ratios)};
 }
 
 /// Cost of carrying a live metrics registry, as (rate without) / (rate
@@ -150,10 +184,8 @@ double measure_metrics_overhead_ratio() {
   MachineConfig cfg = MachineConfig::araxl(8);
   Machine m(cfg);
   const Program prog = build_axpy(cfg, 16384);
-  const double off = measure_cycles_per_s(m, prog);
   obs::MetricsRegistry metrics;
-  const double on = measure_cycles_per_s(m, prog, &metrics);
-  return off / on;
+  return measure_paired({m, prog}, {m, prog, &metrics}).ratio;
 }
 
 struct TrajectoryEntry {
@@ -162,6 +194,7 @@ struct TrajectoryEntry {
   std::uint64_t bpl;
   double event_cycles_per_s;
   double oracle_cycles_per_s;
+  double speedup;  ///< median of the paired event/oracle window ratios
   std::uint64_t batched_iterations;
   double stall_frac;  ///< attributed stall slots / slot universe
 };
@@ -175,34 +208,28 @@ TrajectoryEntry measure_entry(const char* name, unsigned lanes,
   e.name = name;
   e.lanes = lanes;
   e.bpl = bpl;
-  for (const TimingMode mode :
-       {TimingMode::kEventDriven, TimingMode::kCycleStepped}) {
-    MachineConfig cfg = MachineConfig::araxl(lanes);
-    cfg.timing_mode = mode;
-    Machine m(cfg);
-    Program prog;
-    if (bpl == 0) {
-      prog = build_axpy(cfg, 16384);
-    } else {
-      auto k = make_kernel(name);
-      prog = k->build(m, bpl);
-    }
-    const double rate = measure_cycles_per_s(m, prog);
-    if (mode == TimingMode::kEventDriven) {
-      e.event_cycles_per_s = rate;
-      const RunStats s = m.run(prog);
-      e.batched_iterations = s.batched_iterations;
-      // Unlike the rates, the stall attribution is a pure simulation
-      // invariant — deterministic and host-independent — so the committed
-      // trajectory can gate it exactly.
-      std::uint64_t stalls = 0;
-      for (const std::uint64_t v : s.stall_cycles) stalls += v;
-      e.stall_frac = static_cast<double>(stalls) /
-                     static_cast<double>(s.cycles * s.total_lanes * 8);
-    } else {
-      e.oracle_cycles_per_s = rate;
-    }
-  }
+  MachineConfig cfg = MachineConfig::araxl(lanes);
+  Machine event(cfg);
+  cfg.timing_mode = TimingMode::kCycleStepped;
+  Machine oracle(cfg);
+  const auto build = [&](Machine& m) {
+    return bpl == 0 ? build_axpy(cfg, 16384) : make_kernel(name)->build(m, bpl);
+  };
+  const Program event_prog = build(event);
+  const Program oracle_prog = build(oracle);
+  const PairedRates rates = measure_paired({event, event_prog}, {oracle, oracle_prog});
+  e.event_cycles_per_s = rates.a_cycles_per_s;
+  e.oracle_cycles_per_s = rates.b_cycles_per_s;
+  e.speedup = rates.ratio;
+  const RunStats s = event.run(event_prog);
+  e.batched_iterations = s.batched_iterations;
+  // Unlike the rates, the stall attribution is a pure simulation
+  // invariant — deterministic and host-independent — so the committed
+  // trajectory can gate it exactly.
+  std::uint64_t stalls = 0;
+  for (const std::uint64_t v : s.stall_cycles) stalls += v;
+  e.stall_frac = static_cast<double>(stalls) /
+                 static_cast<double>(s.cycles * s.total_lanes * 8);
   return e;
 }
 
@@ -240,8 +267,7 @@ int emit_trajectory(const char* path) {
                   "\"stall_frac\": %.6f}%s\n",
                   e.name.c_str(), e.lanes,
                   static_cast<unsigned long long>(e.bpl), e.event_cycles_per_s,
-                  e.oracle_cycles_per_s,
-                  e.event_cycles_per_s / e.oracle_cycles_per_s,
+                  e.oracle_cycles_per_s, e.speedup,
                   static_cast<unsigned long long>(e.batched_iterations),
                   e.stall_frac, i + 1 == entries.size() ? "" : ",");
     out += buf;

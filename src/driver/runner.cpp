@@ -309,6 +309,10 @@ JobResult run_attempt(const Job& job, const RunnerOptions& opts,
                std::string("liveness watchdog: ") + e.what());
   } catch (const store::StoreIoError& e) {
     fill_error(res, ErrorKind::kStoreIo, e.what());
+  } catch (const FootprintError& e) {
+    // The problem does not fit the configured memory: thrown by build(),
+    // before anything is simulated.
+    fill_error(res, ErrorKind::kConfig, e.what());
   } catch (const ContractViolation& e) {
     fill_error(res, ErrorKind::kSimulation, e.what());
   } catch (const std::exception& e) {

@@ -22,16 +22,22 @@ class AxpyKernel final : public Kernel {
   [[nodiscard]] double max_perf_factor() const override { return 1.0; }
   [[nodiscard]] Lmul lmul(std::uint64_t) const override { return kLmul4; }
 
-  Program build(Machine& m, std::uint64_t bytes_per_lane) override {
+  [[nodiscard]] std::uint64_t useful_flops() const override { return 2ull * n_; }
+
+  [[nodiscard]] double tolerance() const override { return 0.0; }
+
+ private:
+  Program build_program(Machine& m, std::uint64_t bytes_per_lane) override {
     const MachineConfig& cfg = m.config();
     n_ = elems_for_bytes_per_lane(cfg, bytes_per_lane);
-    x_ = random_doubles(n_, -1.0, 1.0, input_seed(0x75));
-    y_ = random_doubles(n_, -1.0, 1.0, input_seed(0x76));
 
     MemLayout layout;
     x_addr_ = layout.alloc(n_ * 8);
     y_addr_ = layout.alloc(n_ * 8);
-    m.mem().store_doubles(x_addr_, x_);
+    check_footprint(m, layout);
+    stage_random_doubles(m.mem(), x_addr_, n_, -1.0, 1.0, input_seed(0x75));
+    // y is updated in place, so the golden needs the host copy.
+    y_ = random_doubles(n_, -1.0, 1.0, input_seed(0x76));
     m.mem().store_doubles(y_addr_, y_);
 
     // Same shape as the bench's build_axpy: a fixed register pair per
@@ -51,22 +57,17 @@ class AxpyKernel final : public Kernel {
     return pb.take();
   }
 
-  [[nodiscard]] std::uint64_t useful_flops() const override { return 2ull * n_; }
-
-  [[nodiscard]] VerifyResult verify(const Machine& m) const override {
+  [[nodiscard]] VerifyResult verify_outputs(const Machine& m) const override {
+    const double* x = m.mem().doubles(x_addr_, n_).data();
     VerifyResult r;
     std::vector<double> row(n_);
-    for (std::uint64_t i = 0; i < n_; ++i) row[i] = std::fma(kA, x_[i], y_[i]);
+    for (std::uint64_t i = 0; i < n_; ++i) row[i] = std::fma(kA, x[i], y_[i]);
     compare_row(m.mem(), y_addr_, row, r);
     return r;
   }
 
-  [[nodiscard]] double tolerance() const override { return 0.0; }
-
- private:
   static constexpr double kA = 1.5;
   std::uint64_t n_ = 0;
-  std::vector<double> x_;
   std::vector<double> y_;
   std::uint64_t x_addr_ = 0;
   std::uint64_t y_addr_ = 0;

@@ -1,9 +1,11 @@
 #include "kernels/common.hpp"
 
+#include <bit>
 #include <cstring>
 
 #include "common/bits.hpp"
 #include "common/contracts.hpp"
+#include "common/fmt.hpp"
 #include "common/rng.hpp"
 
 namespace araxl {
@@ -62,6 +64,74 @@ std::vector<double> random_doubles(std::uint64_t n, double lo, double hi,
   std::vector<double> out(n);
   for (auto& v : out) v = rng.next_double(lo, hi);
   return out;
+}
+
+namespace {
+
+// One checksum term, after the NH universal hash (as in UMAC and XXH3): the
+// word XORed with a key distinct for every position below 2^64 (the step is
+// odd), the product of that value's 32-bit halves, plus the word itself.
+// One 32x32-bit multiply per word keeps the checksum near memory speed.
+// Flipping one bit of a word changes its term unless the other half of the
+// keyed value is exactly 1; a swap of x and -x always changes the sum of
+// the two terms; any other corruption cancels out with a 2^-32-scale
+// chance at most.
+constexpr std::uint64_t kPositionStep = 0x9e3779b97f4a7c15ULL;
+
+inline std::uint64_t checksum_term(std::uint64_t word, std::uint64_t index) {
+  const std::uint64_t x = word ^ (index * kPositionStep);
+  return word + (x & 0xffffffffu) * (x >> 32);
+}
+
+}  // namespace
+
+std::uint64_t input_checksum(const void* data, std::uint64_t words) {
+  const auto* bytes = static_cast<const std::uint8_t*>(data);
+  std::uint64_t sum = words;
+  for (std::uint64_t i = 0; i < words; ++i) {
+    std::uint64_t w;
+    std::memcpy(&w, bytes + i * 8, sizeof w);
+    sum += checksum_term(w, i);
+  }
+  return sum;
+}
+
+VerifyResult Kernel::verify(const Machine& m) const {
+  for (const StagedInput& in : staged_) {
+    if (input_checksum(m.mem().raw(in.addr, in.words * 8), in.words) != in.checksum) {
+      return VerifyResult::inputs_changed();
+    }
+  }
+  return verify_outputs(m);
+}
+
+void Kernel::check_footprint(const Machine& m, const MemLayout& layout) const {
+  if (layout.end() > m.mem().size()) {
+    throw FootprintError(strprintf(
+        "kernel %.*s needs %llu bytes of machine memory but mem_size_bytes is %llu",
+        static_cast<int>(name().size()), name().data(),
+        static_cast<unsigned long long>(layout.end()),
+        static_cast<unsigned long long>(m.mem().size())));
+  }
+}
+
+std::span<const double> Kernel::stage_random_doubles(MainMemory& mem, std::uint64_t addr,
+                                                     std::uint64_t n, double lo, double hi,
+                                                     std::uint64_t seed) {
+  const std::span<double> out = mem.doubles(addr, n);
+  Rng rng(seed);
+  std::uint64_t sum = n;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    out[i] = rng.next_double(lo, hi);
+    sum += checksum_term(std::bit_cast<std::uint64_t>(out[i]), i);
+  }
+  staged_.push_back({addr, n, sum});
+  return out;
+}
+
+void Kernel::record_input(const MainMemory& mem, std::uint64_t addr, std::uint64_t bytes) {
+  check(bytes % 8 == 0, "input regions are whole 64-bit words");
+  staged_.push_back({addr, bytes / 8, input_checksum(mem.raw(addr, bytes), bytes / 8)});
 }
 
 void compare_row(const MainMemory& mem, std::uint64_t addr,

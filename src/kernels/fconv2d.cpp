@@ -25,18 +25,27 @@ class Fconv2dKernel final : public Kernel {
   [[nodiscard]] double max_perf_factor() const override { return 2.0; }
   [[nodiscard]] Lmul lmul(std::uint64_t) const override { return kLmul2; }
 
-  Program build(Machine& m, std::uint64_t bytes_per_lane) override {
+  [[nodiscard]] std::uint64_t useful_flops() const override {
+    return 2ull * kF * kF * kRows * n_;
+  }
+
+  [[nodiscard]] double tolerance() const override { return 0.0; }  // same dataflow
+
+ private:
+  Program build_program(Machine& m, std::uint64_t bytes_per_lane) override {
     const MachineConfig& cfg = m.config();
     n_ = elems_for_bytes_per_lane(cfg, bytes_per_lane);
     in_cols_ = n_ + kF - 1;  // column halo for the valid convolution
 
-    in_ = random_doubles((kRows + kF - 1) * in_cols_, -1.0, 1.0, input_seed(0xC0));
+    // The 49 taps are program scalars, never stored in machine memory.
     f_ = random_doubles(kF * kF, -0.5, 0.5, input_seed(0xF1));
 
     MemLayout layout;
-    in_addr_ = layout.alloc(in_.size() * 8);
+    in_addr_ = layout.alloc(in_elems() * 8);
     out_addr_ = layout.alloc(std::uint64_t{kRows} * n_ * 8);
-    m.mem().store_doubles(in_addr_, in_);
+    check_footprint(m, layout);
+    const std::span<const double> in =
+        stage_random_doubles(m.mem(), in_addr_, in_elems(), -1.0, 1.0, input_seed(0xC0));
 
     ProgramBuilder pb(cfg.effective_vlen(), "fconv2d");
     // Register map (LMUL=2 groups): row buffers v4/v6 alternate, slide
@@ -62,7 +71,7 @@ class Fconv2dKernel final : public Kernel {
             const unsigned nxt = slidebuf[slide_rot++ % 6];
             // Fill value: the element just past the strip, column
             // col + vl - 1 + dc of input row r+dr.
-            const double fill = in_[((r + dr) * in_cols_) + col + vl - 1 + dc];
+            const double fill = in[((r + dr) * in_cols_) + col + vl - 1 + dc];
             pb.vfslide1down(nxt, cur, fill);
             pb.vfmacc_vf(acc, f_[dr * kF + dc], nxt);
             cur = nxt;
@@ -78,20 +87,17 @@ class Fconv2dKernel final : public Kernel {
     return pb.take();
   }
 
-  [[nodiscard]] std::uint64_t useful_flops() const override {
-    return 2ull * kF * kF * kRows * n_;
-  }
-
-  [[nodiscard]] VerifyResult verify(const Machine& m) const override {
+  [[nodiscard]] VerifyResult verify_outputs(const Machine& m) const override {
     // r-dr-c-dc: each filter row sweeps a whole output row, folding its
     // seven taps per element, so every element keeps its dr-major,
     // dc-minor fma chain.
+    const double* input = m.mem().doubles(in_addr_, in_elems()).data();
     VerifyResult res;
     std::vector<double> row(n_);
     for (unsigned r = 0; r < kRows; ++r) {
       std::fill(row.begin(), row.end(), 0.0);
       for (unsigned dr = 0; dr < kF; ++dr) {
-        const double* in = in_.data() + std::uint64_t{r + dr} * in_cols_;
+        const double* in = input + std::uint64_t{r + dr} * in_cols_;
         const double* w = f_.data() + dr * kF;
         for (std::uint64_t c = 0; c < n_; ++c) {
           double acc = row[c];
@@ -104,12 +110,11 @@ class Fconv2dKernel final : public Kernel {
     return res;
   }
 
-  [[nodiscard]] double tolerance() const override { return 0.0; }  // same dataflow
+  /// The halo'd input: kRows + kF - 1 rows of in_cols_.
+  [[nodiscard]] std::uint64_t in_elems() const { return (kRows + kF - 1) * in_cols_; }
 
- private:
   std::uint64_t n_ = 0;
   std::uint64_t in_cols_ = 0;
-  std::vector<double> in_;
   std::vector<double> f_;
   std::uint64_t in_addr_ = 0;
   std::uint64_t out_addr_ = 0;

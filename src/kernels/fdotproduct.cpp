@@ -19,19 +19,22 @@ class FdotproductKernel final : public Kernel {
   [[nodiscard]] double max_perf_factor() const override { return 1.0; }
   [[nodiscard]] Lmul lmul(std::uint64_t) const override { return kLmul8; }
 
-  Program build(Machine& m, std::uint64_t bytes_per_lane) override {
+  [[nodiscard]] std::uint64_t useful_flops() const override { return 2ull * n_; }
+
+  [[nodiscard]] double tolerance() const override { return 1e-10; }
+
+ private:
+  Program build_program(Machine& m, std::uint64_t bytes_per_lane) override {
     const MachineConfig& cfg = m.config();
     n_ = elems_for_bytes_per_lane(cfg, bytes_per_lane);
-
-    a_ = random_doubles(n_, -1.0, 1.0, input_seed(0xD0));
-    b_ = random_doubles(n_, -1.0, 1.0, input_seed(0xD1));
 
     MemLayout layout;
     a_addr_ = layout.alloc(n_ * 8);
     b_addr_ = layout.alloc(n_ * 8);
     res_addr_ = layout.alloc(8);
-    m.mem().store_doubles(a_addr_, a_);
-    m.mem().store_doubles(b_addr_, b_);
+    check_footprint(m, layout);
+    stage_random_doubles(m.mem(), a_addr_, n_, -1.0, 1.0, input_seed(0xD0));
+    stage_random_doubles(m.mem(), b_addr_, n_, -1.0, 1.0, input_seed(0xD1));
 
     ProgramBuilder pb(cfg.effective_vlen(), "fdotproduct");
     // LMUL=8 register groups: a -> v0, b -> v8, accumulator -> v16; v24
@@ -59,28 +62,23 @@ class FdotproductKernel final : public Kernel {
     return pb.take();
   }
 
-  [[nodiscard]] std::uint64_t useful_flops() const override { return 2ull * n_; }
-
-  [[nodiscard]] VerifyResult verify(const Machine& m) const override {
+  [[nodiscard]] VerifyResult verify_outputs(const Machine& m) const override {
     // Reference: accumulate per lane-strip position exactly like the
     // machine (vfmacc into position i%VL, then an ordered sweep) would be
     // overkill — a sequential fma sum with a relative tolerance is the
     // honest check for an unordered reduction. The result is the scalar
     // accumulator, not memory, so there is no row to compare in place.
+    const double* a = m.mem().doubles(a_addr_, n_).data();
+    const double* b = m.mem().doubles(b_addr_, n_).data();
     double expected = 0.0;
-    for (std::uint64_t i = 0; i < n_; ++i) expected = std::fma(a_[i], b_[i], expected);
+    for (std::uint64_t i = 0; i < n_; ++i) expected = std::fma(a[i], b[i], expected);
     VerifyResult r;
     r.add(expected, m.scalar_acc());
     return r;
   }
 
-  [[nodiscard]] double tolerance() const override { return 1e-10; }
-
- private:
   std::uint64_t n_ = 0;
   std::uint64_t acc_elems_ = 0;
-  std::vector<double> a_;
-  std::vector<double> b_;
   std::uint64_t a_addr_ = 0;
   std::uint64_t b_addr_ = 0;
   std::uint64_t res_addr_ = 0;

@@ -76,15 +76,22 @@ class FexpKernel final : public Kernel {
   }
   [[nodiscard]] Lmul lmul(std::uint64_t) const override { return kLmul1; }
 
-  Program build(Machine& m, std::uint64_t bytes_per_lane) override {
+  [[nodiscard]] std::uint64_t useful_flops() const override {
+    return std::uint64_t{kExpFlops} * n_;
+  }
+
+  [[nodiscard]] double tolerance() const override { return 1e-12; }
+
+ private:
+  Program build_program(Machine& m, std::uint64_t bytes_per_lane) override {
     const MachineConfig& cfg = m.config();
     n_ = elems_for_bytes_per_lane(cfg, bytes_per_lane);
-    x_ = random_doubles(n_, -30.0, 30.0, input_seed(0xE0));
 
     MemLayout layout;
     x_addr_ = layout.alloc(n_ * 8);
     y_addr_ = layout.alloc(n_ * 8);
-    m.mem().store_doubles(x_addr_, x_);
+    check_footprint(m, layout);
+    stage_random_doubles(m.mem(), x_addr_, n_, -30.0, 30.0, input_seed(0xE0));
 
     ProgramBuilder pb(cfg.effective_vlen(), "exp");
     ExpRegs regs;
@@ -102,23 +109,16 @@ class FexpKernel final : public Kernel {
     return pb.take();
   }
 
-  [[nodiscard]] std::uint64_t useful_flops() const override {
-    return std::uint64_t{kExpFlops} * n_;
-  }
-
-  [[nodiscard]] VerifyResult verify(const Machine& m) const override {
+  [[nodiscard]] VerifyResult verify_outputs(const Machine& m) const override {
+    const double* x = m.mem().doubles(x_addr_, n_).data();
     VerifyResult r;
     std::vector<double> row(n_);
-    for (std::uint64_t i = 0; i < n_; ++i) row[i] = std::exp(x_[i]);
+    for (std::uint64_t i = 0; i < n_; ++i) row[i] = std::exp(x[i]);
     compare_row(m.mem(), y_addr_, row, r);
     return r;
   }
 
-  [[nodiscard]] double tolerance() const override { return 1e-12; }
-
- private:
   std::uint64_t n_ = 0;
-  std::vector<double> x_;
   std::uint64_t x_addr_ = 0;
   std::uint64_t y_addr_ = 0;
 };

@@ -27,22 +27,28 @@ class FmatmulKernel final : public Kernel {
     return kLmul4;
   }
 
-  Program build(Machine& m, std::uint64_t bytes_per_lane) override {
+  [[nodiscard]] std::uint64_t useful_flops() const override {
+    return 2ull * kM * kK * n_;
+  }
+
+  [[nodiscard]] double tolerance() const override { return 0.0; }  // same dataflow
+
+ private:
+  Program build_program(Machine& m, std::uint64_t bytes_per_lane) override {
     const MachineConfig& cfg = m.config();
     n_ = elems_for_bytes_per_lane(cfg, bytes_per_lane);
     const Lmul ml = lmul(bytes_per_lane);
     const unsigned g = ml.group_regs();
     const unsigned rb = g >= 4 ? 4 : 8;  // row block sized to the register budget
 
-    a_ = random_doubles(kM * kK, -1.0, 1.0, input_seed(0xA));
-    b_ = random_doubles(kK * n_, -1.0, 1.0, input_seed(0xB));
-
     MemLayout layout;
-    a_addr_ = layout.alloc(a_.size() * 8);
-    b_addr_ = layout.alloc(b_.size() * 8);
+    a_addr_ = layout.alloc(kM * kK * 8);
+    b_addr_ = layout.alloc(kK * n_ * 8);
     c_addr_ = layout.alloc(kM * n_ * 8);
-    m.mem().store_doubles(a_addr_, a_);
-    m.mem().store_doubles(b_addr_, b_);
+    check_footprint(m, layout);
+    const std::span<const double> a =
+        stage_random_doubles(m.mem(), a_addr_, kM * kK, -1.0, 1.0, input_seed(0xA));
+    stage_random_doubles(m.mem(), b_addr_, kK * n_, -1.0, 1.0, input_seed(0xB));
 
     ProgramBuilder pb(cfg.effective_vlen(), "fmatmul");
     const unsigned acc0 = 16;         // accumulators: v16 .. v16+rb*g
@@ -63,7 +69,7 @@ class FmatmulKernel final : public Kernel {
             for (unsigned i = 0; i < rb; ++i) {
               pb.scalar_load();     // fld of A[i0+i][k]
               pb.scalar_cycles(1);  // row-pointer bump (CVA6 is single-issue)
-              pb.vfmacc_vf(acc0 + i * g, a_[(i0 + i) * kK + k], bb);
+              pb.vfmacc_vf(acc0 + i * g, a[(i0 + i) * kK + k], bb);
             }
             pb.scalar_cycles(1);  // pointer bump + branch
           }
@@ -78,24 +84,22 @@ class FmatmulKernel final : public Kernel {
     return pb.take();
   }
 
-  [[nodiscard]] std::uint64_t useful_flops() const override {
-    return 2ull * kM * kK * n_;
-  }
-
-  [[nodiscard]] VerifyResult verify(const Machine& m) const override {
+  [[nodiscard]] VerifyResult verify_outputs(const Machine& m) const override {
     // i-k-j: a row of C accumulates rows of B over ascending k, the same
     // fma chain per element as the vfmacc.vf sequence. kKBlock rows of B
     // are folded per sweep of the row, so the row is loaded and stored
     // once per block instead of once per k.
     constexpr unsigned kKBlock = 8;
     static_assert(kK % kKBlock == 0);
+    const double* a_mat = m.mem().doubles(a_addr_, kM * kK).data();
+    const double* b_mat = m.mem().doubles(b_addr_, kK * n_).data();
     VerifyResult r;
     std::vector<double> row(n_);
     for (unsigned i = 0; i < kM; ++i) {
       std::fill(row.begin(), row.end(), 0.0);
-      const double* a = a_.data() + i * kK;
+      const double* a = a_mat + i * kK;
       for (unsigned k = 0; k < kK; k += kKBlock) {
-        const double* b = b_.data() + std::uint64_t{k} * n_;
+        const double* b = b_mat + std::uint64_t{k} * n_;
         for (std::uint64_t j = 0; j < n_; ++j) {
           double acc = row[j];
           for (unsigned kk = 0; kk < kKBlock; ++kk) {
@@ -109,12 +113,7 @@ class FmatmulKernel final : public Kernel {
     return r;
   }
 
-  [[nodiscard]] double tolerance() const override { return 0.0; }  // same dataflow
-
- private:
   std::uint64_t n_ = 0;
-  std::vector<double> a_;
-  std::vector<double> b_;
   std::uint64_t a_addr_ = 0;
   std::uint64_t b_addr_ = 0;
   std::uint64_t c_addr_ = 0;

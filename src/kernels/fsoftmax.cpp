@@ -30,16 +30,23 @@ class FsoftmaxKernel final : public Kernel {
   }
   [[nodiscard]] Lmul lmul(std::uint64_t) const override { return kLmul1; }
 
-  Program build(Machine& m, std::uint64_t bytes_per_lane) override {
+  [[nodiscard]] std::uint64_t useful_flops() const override {
+    return std::uint64_t{kExpFlops + 4} * kRows * n_;
+  }
+
+  [[nodiscard]] double tolerance() const override { return 1e-10; }
+
+ private:
+  Program build_program(Machine& m, std::uint64_t bytes_per_lane) override {
     const MachineConfig& cfg = m.config();
     n_ = elems_for_bytes_per_lane(cfg, bytes_per_lane);
-    x_ = random_doubles(std::uint64_t{kRows} * n_, -8.0, 8.0, input_seed(0x50));
 
     MemLayout layout;
-    x_addr_ = layout.alloc(x_.size() * 8);
-    y_addr_ = layout.alloc(x_.size() * 8);
+    x_addr_ = layout.alloc(kRows * n_ * 8);
+    y_addr_ = layout.alloc(kRows * n_ * 8);
     scratch_addr_ = layout.alloc(n_ * 8);
-    m.mem().store_doubles(x_addr_, x_);
+    check_footprint(m, layout);
+    stage_random_doubles(m.mem(), x_addr_, kRows * n_, -8.0, 8.0, input_seed(0x50));
 
     ProgramBuilder pb(cfg.effective_vlen(), "softmax");
     ExpRegs regs;
@@ -103,15 +110,12 @@ class FsoftmaxKernel final : public Kernel {
     return pb.take();
   }
 
-  [[nodiscard]] std::uint64_t useful_flops() const override {
-    return std::uint64_t{kExpFlops + 4} * kRows * n_;
-  }
-
-  [[nodiscard]] VerifyResult verify(const Machine& m) const override {
+  [[nodiscard]] VerifyResult verify_outputs(const Machine& m) const override {
+    const double* x = m.mem().doubles(x_addr_, kRows * n_).data();
     VerifyResult res;
     std::vector<double> out(n_);
     for (unsigned r = 0; r < kRows; ++r) {
-      const double* row = x_.data() + std::uint64_t{r} * n_;
+      const double* row = x + std::uint64_t{r} * n_;
       double mx = -std::numeric_limits<double>::infinity();
       for (std::uint64_t c = 0; c < n_; ++c) mx = std::max(mx, row[c]);
       double sum = 0.0;
@@ -125,11 +129,7 @@ class FsoftmaxKernel final : public Kernel {
     return res;
   }
 
-  [[nodiscard]] double tolerance() const override { return 1e-10; }
-
- private:
   std::uint64_t n_ = 0;
-  std::vector<double> x_;
   std::uint64_t x_addr_ = 0;
   std::uint64_t y_addr_ = 0;
   std::uint64_t scratch_addr_ = 0;

@@ -24,7 +24,14 @@ class Jacobi2dKernel final : public Kernel {
   [[nodiscard]] double max_perf_factor() const override { return 1.0; }
   [[nodiscard]] Lmul lmul(std::uint64_t) const override { return kLmul4; }
 
-  Program build(Machine& m, std::uint64_t bytes_per_lane) override {
+  [[nodiscard]] std::uint64_t useful_flops() const override {
+    return 5ull * kRows * n_;
+  }
+
+  [[nodiscard]] double tolerance() const override { return 0.0; }  // same dataflow
+
+ private:
+  Program build_program(Machine& m, std::uint64_t bytes_per_lane) override {
     const MachineConfig& cfg = m.config();
     n_ = elems_for_bytes_per_lane(cfg, bytes_per_lane);
     // One halo column on each side. The registered kernel then pads the
@@ -40,12 +47,12 @@ class Jacobi2dKernel final : public Kernel {
       in_cols_ += (lanes - in_cols_ % lanes) % lanes;
     }
 
-    in_ = random_doubles((kRows + 2) * in_cols_, -1.0, 1.0, input_seed(0x1A));
-
     MemLayout layout;
-    in_addr_ = layout.alloc(in_.size() * 8);
+    in_addr_ = layout.alloc(in_elems() * 8);
     out_addr_ = layout.alloc(std::uint64_t{kRows} * n_ * 8);
-    m.mem().store_doubles(in_addr_, in_);
+    check_footprint(m, layout);
+    const std::span<const double> in =
+        stage_random_doubles(m.mem(), in_addr_, in_elems(), -1.0, 1.0, input_seed(0x1A));
 
     ProgramBuilder pb(cfg.effective_vlen(), "jacobi2d");
     // Register map (LMUL=4 groups): rows v4/v8/v12 rotate, slides v16/v20,
@@ -72,8 +79,8 @@ class Jacobi2dKernel final : public Kernel {
         const unsigned down = rowreg[(r + 2) % 3];
         pb.vle(down, row_center_addr(r + 2, col));
         const std::uint64_t crow = (r + 1) * in_cols_;
-        pb.vfslide1up(left, center, in_[crow + col]);
-        pb.vfslide1down(right, center, in_[crow + col + 1 + vl]);
+        pb.vfslide1up(left, center, in[crow + col]);
+        pb.vfslide1down(right, center, in[crow + col + 1 + vl]);
         pb.vfadd_vv(t1, up, down);
         pb.vfadd_vv(t2, left, right);
         pb.vfadd_vv(t1, t1, t2);
@@ -93,15 +100,12 @@ class Jacobi2dKernel final : public Kernel {
     return pb.take();
   }
 
-  [[nodiscard]] std::uint64_t useful_flops() const override {
-    return 5ull * kRows * n_;
-  }
-
-  [[nodiscard]] VerifyResult verify(const Machine& m) const override {
+  [[nodiscard]] VerifyResult verify_outputs(const Machine& m) const override {
+    const double* input = m.mem().doubles(in_addr_, in_elems()).data();
     VerifyResult res;
     std::vector<double> row(n_);
     for (unsigned r = 0; r < kRows; ++r) {
-      const double* up = in_.data() + std::uint64_t{r} * in_cols_ + 1;
+      const double* up = input + std::uint64_t{r} * in_cols_ + 1;
       const double* mid = up + in_cols_;
       const double* down = mid + in_cols_;
       const double* left = mid - 1;
@@ -115,13 +119,12 @@ class Jacobi2dKernel final : public Kernel {
     return res;
   }
 
-  [[nodiscard]] double tolerance() const override { return 0.0; }  // same dataflow
+  /// The halo'd input: kRows + 2 rows of in_cols_.
+  [[nodiscard]] std::uint64_t in_elems() const { return (kRows + 2) * in_cols_; }
 
- private:
   bool pad_pitch_;
   std::uint64_t n_ = 0;
   std::uint64_t in_cols_ = 0;
-  std::vector<double> in_;
   std::uint64_t in_addr_ = 0;
   std::uint64_t out_addr_ = 0;
 };

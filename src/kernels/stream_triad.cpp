@@ -18,18 +18,22 @@ class StreamTriadKernel final : public Kernel {
   [[nodiscard]] double max_perf_factor() const override { return 1.0; }
   [[nodiscard]] Lmul lmul(std::uint64_t) const override { return kLmul8; }
 
-  Program build(Machine& m, std::uint64_t bytes_per_lane) override {
+  [[nodiscard]] std::uint64_t useful_flops() const override { return 2ull * n_; }
+
+  [[nodiscard]] double tolerance() const override { return 0.0; }
+
+ private:
+  Program build_program(Machine& m, std::uint64_t bytes_per_lane) override {
     const MachineConfig& cfg = m.config();
     n_ = elems_for_bytes_per_lane(cfg, bytes_per_lane);
-    b_ = random_doubles(n_, -1.0, 1.0, input_seed(0x71));
-    c_ = random_doubles(n_, -1.0, 1.0, input_seed(0x72));
 
     MemLayout layout;
     a_addr_ = layout.alloc(n_ * 8);
     b_addr_ = layout.alloc(n_ * 8);
     c_addr_ = layout.alloc(n_ * 8);
-    m.mem().store_doubles(b_addr_, b_);
-    m.mem().store_doubles(c_addr_, c_);
+    check_footprint(m, layout);
+    stage_random_doubles(m.mem(), b_addr_, n_, -1.0, 1.0, input_seed(0x71));
+    stage_random_doubles(m.mem(), c_addr_, n_, -1.0, 1.0, input_seed(0x72));
 
     ProgramBuilder pb(cfg.effective_vlen(), "stream_triad");
     const std::uint64_t vlmax = pb.vlmax(Sew::k64, kLmul8);
@@ -56,23 +60,18 @@ class StreamTriadKernel final : public Kernel {
     return pb.take();
   }
 
-  [[nodiscard]] std::uint64_t useful_flops() const override { return 2ull * n_; }
-
-  [[nodiscard]] VerifyResult verify(const Machine& m) const override {
+  [[nodiscard]] VerifyResult verify_outputs(const Machine& m) const override {
+    const double* b = m.mem().doubles(b_addr_, n_).data();
+    const double* c = m.mem().doubles(c_addr_, n_).data();
     VerifyResult r;
     std::vector<double> row(n_);
-    for (std::uint64_t i = 0; i < n_; ++i) row[i] = std::fma(kScale, c_[i], b_[i]);
+    for (std::uint64_t i = 0; i < n_; ++i) row[i] = std::fma(kScale, c[i], b[i]);
     compare_row(m.mem(), a_addr_, row, r);
     return r;
   }
 
-  [[nodiscard]] double tolerance() const override { return 0.0; }
-
- private:
   static constexpr double kScale = 3.0;
   std::uint64_t n_ = 0;
-  std::vector<double> b_;
-  std::vector<double> c_;
   std::uint64_t a_addr_ = 0;
   std::uint64_t b_addr_ = 0;
   std::uint64_t c_addr_ = 0;

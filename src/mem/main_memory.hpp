@@ -2,6 +2,11 @@
 // functional side is a plain byte-addressable store with typed accessors,
 // while all timing (latency, bandwidth, beats) is modelled in the GLSU and
 // the timing engine.
+//
+// It is also the only copy of a workload's data: the benchmark kernels
+// generate their read-only inputs straight into it through doubles(), read
+// them back from it while building programs and computing goldens, and
+// compare outputs against it in place (see kernels/common.hpp).
 #ifndef ARAXL_MEM_MAIN_MEMORY_HPP
 #define ARAXL_MEM_MAIN_MEMORY_HPP
 
@@ -69,7 +74,23 @@ class MainMemory {
     return data_ + addr;
   }
 
-  /// Bulk helpers for workload setup/verification.
+  /// Typed window over `count` doubles at `addr` (8-byte aligned, one
+  /// bounds check): workloads generate inputs in place and read them back
+  /// through it, with no host-side copy. The backing store is raw bytes,
+  /// like a malloc'd block, so the doubles it holds need no construction.
+  [[nodiscard]] std::span<const double> doubles(std::uint64_t addr,
+                                                std::uint64_t count) const {
+    check(addr % alignof(double) == 0, "unaligned double window");
+    return {reinterpret_cast<const double*>(raw(addr, count * sizeof(double))),
+            static_cast<std::size_t>(count)};
+  }
+  [[nodiscard]] std::span<double> doubles(std::uint64_t addr, std::uint64_t count) {
+    check(addr % alignof(double) == 0, "unaligned double window");
+    return {reinterpret_cast<double*>(raw(addr, count * sizeof(double))),
+            static_cast<std::size_t>(count)};
+  }
+
+  /// Bulk copies for workload setup/verification.
   void store_doubles(std::uint64_t addr, std::span<const double> values);
   [[nodiscard]] std::vector<double> load_doubles(std::uint64_t addr,
                                                  std::size_t count) const;

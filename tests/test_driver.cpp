@@ -267,6 +267,27 @@ TEST(Runner, GoldenVerifierCatchesInjectedCorruptionIsolated) {
   EXPECT_NE(to_csv(results).find("verification failed"), std::string::npos);
 }
 
+TEST(Runner, ProblemLargerThanMemoryFailsAsConfigBeforeSimulating) {
+  // Every kernel lays its buffers out from 1 MiB, so none fits 1 MiB + 4 KiB.
+  std::vector<std::unique_ptr<Kernel>> kernels = make_all_kernels();
+  for (auto& k : make_extension_kernels()) kernels.push_back(std::move(k));
+  for (const auto& kernel : kernels) {
+    Job job;
+    job.config_label = "tiny-mem";
+    job.cfg = MachineConfig::araxl(8);
+    job.cfg.mem_size_bytes = (1u << 20) + 4096;
+    job.kernel = std::string(kernel->name());
+    job.bytes_per_lane = 64;
+    const JobResult r = run_job(job, RunnerOptions{});
+    EXPECT_FALSE(r.ok) << job.kernel;
+    EXPECT_EQ(r.error_kind, ErrorKind::kConfig) << job.kernel << ": " << r.error;
+    EXPECT_NE(r.error.find("kernel " + job.kernel + " needs "), std::string::npos)
+        << r.error;
+    EXPECT_NE(r.error.find("mem_size_bytes is 1052672"), std::string::npos) << r.error;
+    EXPECT_EQ(r.stats.cycles, 0u) << job.kernel;
+  }
+}
+
 TEST(Runner, InvalidConfigJobIsIsolatedNotFatal) {
   // Hand-build jobs so one carries a config that fails validate(): the
   // bad job must error out while its neighbours complete.
@@ -298,8 +319,10 @@ class Vl0ProbeKernel final : public Kernel {
   [[nodiscard]] std::string_view name() const override { return "vl0_probe"; }
   [[nodiscard]] double max_perf_factor() const override { return 0.0; }
   [[nodiscard]] Lmul lmul(std::uint64_t) const override { return kLmul1; }
+  [[nodiscard]] std::uint64_t useful_flops() const override { return 0; }
 
-  Program build(Machine& m, std::uint64_t) override {
+ private:
+  Program build_program(Machine& m, std::uint64_t) override {
     ProgramBuilder pb(m.config().effective_vlen(), "vl0_probe");
     const std::uint64_t addr = 1u << 20;
     pb.vsetvli(0, Sew::k64, kLmul1);
@@ -309,9 +332,7 @@ class Vl0ProbeKernel final : public Kernel {
     return pb.take();
   }
 
-  [[nodiscard]] std::uint64_t useful_flops() const override { return 0; }
-
-  [[nodiscard]] VerifyResult verify(const Machine&) const override {
+  [[nodiscard]] VerifyResult verify_outputs(const Machine&) const override {
     return VerifyResult{};  // nothing to check; the run completing is the test
   }
 };

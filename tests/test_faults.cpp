@@ -475,9 +475,11 @@ class ThrowingKernel final : public Kernel {
   [[nodiscard]] std::string_view name() const override { return "throws_int"; }
   [[nodiscard]] double max_perf_factor() const override { return 0.0; }
   [[nodiscard]] Lmul lmul(std::uint64_t) const override { return kLmul1; }
-  Program build(Machine&, std::uint64_t) override { throw 42; }
   [[nodiscard]] std::uint64_t useful_flops() const override { return 0; }
-  [[nodiscard]] VerifyResult verify(const Machine&) const override {
+
+ private:
+  Program build_program(Machine&, std::uint64_t) override { throw 42; }
+  [[nodiscard]] VerifyResult verify_outputs(const Machine&) const override {
     return VerifyResult{};
   }
 };
